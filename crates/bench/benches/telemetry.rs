@@ -54,7 +54,6 @@ impl Rig {
                     ingest.clone(),
                     format!("bench-{i}"),
                     TcpBackendConfig {
-                        flush_interval: Duration::from_millis(1),
                         queue_capacity: 1 << 16,
                         ..TcpBackendConfig::default()
                     },

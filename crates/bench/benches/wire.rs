@@ -185,7 +185,6 @@ impl Rig {
                     ingest.clone(),
                     format!("bench-{i}"),
                     TcpBackendConfig {
-                        flush_interval: Duration::from_millis(1),
                         queue_capacity: 1 << 16,
                         prefer_compact,
                         ..TcpBackendConfig::default()

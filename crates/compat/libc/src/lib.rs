@@ -10,7 +10,8 @@
 //!
 //! For the `hb-net` event-driven collector the shim additionally exposes the
 //! Linux readiness API: [`epoll_create1`], [`epoll_ctl`], [`epoll_wait`]
-//! (with the kernel's packed [`epoll_event`] layout) and [`fcntl`] with
+//! (with the kernel's packed [`epoll_event`] layout), [`eventfd`] (the
+//! reactor's cross-thread wake) and [`fcntl`] with
 //! `F_GETFL`/`F_SETFL`/[`O_NONBLOCK`], linked from the system C library.
 
 #![allow(non_camel_case_types)]
@@ -87,6 +88,10 @@ pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
 /// `epoll_create1` flag: close the epoll fd on `exec`.
 pub const EPOLL_CLOEXEC: c_int = 0o2000000;
+/// `eventfd` flag: close the eventfd on `exec`.
+pub const EFD_CLOEXEC: c_int = 0o2000000;
+/// `eventfd` flag: reads and writes never block.
+pub const EFD_NONBLOCK: c_int = 0o4000;
 
 /// One readiness event, in the kernel's wire layout.
 ///
@@ -142,6 +147,11 @@ extern "C" {
         maxevents: c_int,
         timeout: c_int,
     ) -> c_int;
+
+    /// Creates an event counter fd: an 8-byte `write` adds to the counter
+    /// and makes the fd readable; an 8-byte `read` returns and zeroes it.
+    /// Returns the fd or -1.
+    pub fn eventfd(initval: u32, flags: c_int) -> c_int;
 
     /// Manipulates file-descriptor flags (`F_GETFL`/`F_SETFL`).
     pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
@@ -399,6 +409,25 @@ mod tests {
         assert_eq!(read, 10);
         assert_eq!(&a, b"heart");
         assert_eq!(&b, b"beat!");
+    }
+
+    #[test]
+    fn eventfd_counts_writes_until_read() {
+        use std::io::{Read, Write};
+        use std::os::fd::FromRawFd;
+
+        let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
+        assert!(fd >= 0, "eventfd failed");
+        let mut file = unsafe { std::fs::File::from_raw_fd(fd) };
+        let mut buf = [0u8; 8];
+        // Empty counter: a non-blocking read reports WouldBlock.
+        let err = file.read(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        file.write_all(&2u64.to_ne_bytes()).unwrap();
+        file.write_all(&3u64.to_ne_bytes()).unwrap();
+        file.read_exact(&mut buf).unwrap();
+        assert_eq!(u64::from_ne_bytes(buf), 5, "writes accumulate");
+        assert!(file.read(&mut buf).is_err(), "a read resets the counter");
     }
 
     #[test]

@@ -36,12 +36,6 @@ pub struct TcpBackendConfig {
     pub queue_capacity: usize,
     /// Maximum records shipped per [`Frame::Beats`].
     pub batch_max: usize,
-    /// Historical idle re-check interval. The flusher is now purely
-    /// notification-driven — every enqueue, target change, and shutdown
-    /// signals it, so an idle flusher parks without timed wakeups and this
-    /// value is no longer read. Retained so existing configurations keep
-    /// compiling.
-    pub flush_interval: Duration,
     /// Delay between reconnection attempts while the collector is down.
     pub reconnect_backoff: Duration,
     /// The rate window advertised in the hello frame so the collector's
@@ -71,7 +65,6 @@ impl Default for TcpBackendConfig {
         TcpBackendConfig {
             queue_capacity: 8192,
             batch_max: 512,
-            flush_interval: Duration::from_millis(5),
             reconnect_backoff: Duration::from_millis(100),
             default_window: heartbeats::DEFAULT_WINDOW as u32,
             pid: std::process::id(),
@@ -93,6 +86,10 @@ struct Inner {
     target: Option<(f64, f64)>,
     target_dirty: bool,
     stop: bool,
+    /// True while the flusher waits on `wake`: `on_beat` notifies only
+    /// then (clearing it), so a busy flusher costs the producer no futex
+    /// syscall per beat.
+    parked: bool,
 }
 
 #[derive(Debug)]
@@ -168,6 +165,7 @@ impl TcpBackend {
                 target: None,
                 target_dirty: false,
                 stop: false,
+                parked: false,
             }),
             wake: Condvar::new(),
             dropped: AtomicU64::new(0),
@@ -236,8 +234,11 @@ impl Backend for TcpBackend {
             record: *record,
             scope,
         });
+        let parked = std::mem::take(&mut inner.parked);
         drop(inner);
-        self.shared.wake.notify_one();
+        if parked {
+            self.shared.wake.notify_one();
+        }
     }
 
     fn on_target_change(&self, _app: &str, min_bps: f64, max_bps: f64) {
@@ -287,39 +288,48 @@ impl Drop for TcpBackend {
 }
 
 enum Work {
-    /// Drained work to ship.
-    Batch {
-        beats: Vec<WireBeat>,
-        target: Option<(f64, f64)>,
-    },
+    /// Drained work to ship (the beats are in the caller's batch buffer).
+    Batch { target: Option<(f64, f64)> },
     /// Stop requested and nothing left to ship.
     Shutdown,
 }
 
-fn collect_work(shared: &Shared, config: &TcpBackendConfig) -> Work {
+/// Waits for work and moves up to `batch_max` queued beats into `batch`
+/// (empty on entry). A queue that fits one batch is swapped with `batch`
+/// whole, so the two buffers trade places and keep their capacity.
+fn collect_work(
+    shared: &Shared,
+    config: &TcpBackendConfig,
+    batch: &mut VecDeque<WireBeat>,
+) -> Work {
     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
     loop {
         if !inner.queue.is_empty() || inner.target_dirty {
-            let n = inner.queue.len().min(config.batch_max);
-            let beats: Vec<WireBeat> = inner.queue.drain(..n).collect();
+            if inner.queue.len() <= config.batch_max {
+                std::mem::swap(&mut inner.queue, batch);
+            } else {
+                batch.extend(inner.queue.drain(..config.batch_max));
+            }
             let target = if inner.target_dirty {
                 inner.target_dirty = false;
                 inner.target
             } else {
                 None
             };
-            return Work::Batch { beats, target };
+            return Work::Batch { target };
         }
         if inner.stop {
             return Work::Shutdown;
         }
         // Every transition out of "empty queue, no dirty target, not
-        // stopping" signals `wake` (`on_beat`, `on_target_change`,
-        // `flush`, drop), so an idle flusher parks indefinitely instead of
-        // spinning on a timed re-check — with hundreds of mostly-idle
-        // producers on one host, periodic wakeups alone were measurable
-        // scheduler load.
+        // stopping" signals `wake` (`on_beat` while `parked`,
+        // `on_target_change`, `flush`, drop), so an idle flusher parks
+        // indefinitely instead of spinning on a timed re-check — with
+        // hundreds of mostly-idle producers on one host, periodic wakeups
+        // alone were measurable scheduler load.
+        inner.parked = true;
         inner = shared.wake.wait(inner).unwrap_or_else(|e| e.into_inner());
+        inner.parked = false;
     }
 }
 
@@ -328,10 +338,11 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
     let mut compact = false;
     let mut last_attempt: Option<Instant> = None;
     let mut encoder = BatchEncoder::new();
+    let mut beats = VecDeque::new();
     loop {
-        let work = collect_work(shared, config);
-        let (beats, target) = match work {
-            Work::Batch { beats, target } => (beats, target),
+        beats.clear();
+        let target = match collect_work(shared, config, &mut beats) {
+            Work::Batch { target } => target,
             Work::Shutdown => break,
         };
 
@@ -495,7 +506,7 @@ fn negotiate_compact(stream: &TcpStream, config: &TcpBackendConfig) -> bool {
 fn ship(
     writer: &mut FrameWriter<TcpStream>,
     encoder: &mut BatchEncoder,
-    beats: &[WireBeat],
+    beats: &VecDeque<WireBeat>,
     target: Option<(f64, f64)>,
     config: &TcpBackendConfig,
     shared: &Shared,

@@ -212,10 +212,18 @@ impl DemuxShared {
     }
 }
 
+/// Events awaiting a subscription's reader, plus how many readers are
+/// blocked waiting for one.
+#[derive(Debug, Default)]
+struct SubQueue {
+    events: VecDeque<EventFrame>,
+    waiters: usize,
+}
+
 /// One subscription's client-side event queue.
 #[derive(Debug, Default)]
 struct SubShared {
-    queue: Mutex<VecDeque<EventFrame>>,
+    queue: Mutex<SubQueue>,
     ready: Condvar,
     closed: AtomicBool,
     lost: AtomicU64,
@@ -237,13 +245,18 @@ impl SubShared {
                 .record(telemetry::wall_clock_ns().saturating_sub(event.sent_at_ns));
         }
         let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if queue.len() >= SUB_QUEUE_CAPACITY {
-            queue.pop_front();
+        if queue.events.len() >= SUB_QUEUE_CAPACITY {
+            queue.events.pop_front();
             self.lost.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
         }
-        queue.push_back(event);
+        queue.events.push_back(event);
+        // A condvar notify is a futex syscall even with nobody waiting;
+        // the demux thread pays it only while a reader is blocked.
+        let waiting = queue.waiters > 0;
         drop(queue);
-        self.ready.notify_all();
+        if waiting {
+            self.ready.notify_all();
+        }
     }
 
     fn close(&self) {
@@ -255,6 +268,7 @@ impl SubShared {
         self.queue
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+            .events
             .pop_front()
     }
 
@@ -262,7 +276,7 @@ impl SubShared {
         let deadline = Instant::now() + timeout;
         let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(event) = queue.pop_front() {
+            if let Some(event) = queue.events.pop_front() {
                 return Some(event);
             }
             if self.closed.load(Ordering::Acquire) { // ordering: pairs with the Release in close()
@@ -272,11 +286,13 @@ impl SubShared {
             if now >= deadline {
                 return None;
             }
+            queue.waiters += 1;
             let (guard, _) = self
                 .ready
                 .wait_timeout(queue, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
             queue = guard;
+            queue.waiters -= 1;
         }
     }
 }
@@ -804,6 +820,7 @@ impl Subscription {
                 .queue
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
+                .events
                 .is_empty()
     }
 
@@ -849,6 +866,7 @@ impl Subscription {
             .queue
             .lock()
             .unwrap_or_else(|e| e.into_inner())
+            .events
             .clear();
         if !self.demux.is_alive() {
             return Ok(()); // the connection died; nothing to tell anyone

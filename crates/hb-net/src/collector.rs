@@ -44,8 +44,9 @@
 //! port opens a **push subscription** (application glob, interest mask,
 //! minimum update interval). Ingested batches fan out through the
 //! [`SubscriptionRegistry`] to per-subscriber bounded queues (drop-oldest
-//! with `events_dropped` accounting) that the reactor's pump pass drains
-//! into each connection's outbound buffer; health transitions are assessed
+//! with `events_dropped` accounting); each enqueue wakes the subscriber's
+//! reactor shard, whose pump pass drains the queue into the connection's
+//! outbound buffer at once. Health transitions are assessed
 //! at ingest — and by a silence sweep — so only *changes* travel. The
 //! zero-subscriber ingest path pays one atomic load. See
 //! `docs/OBSERVERS.md`.
@@ -813,9 +814,9 @@ impl CollectorState {
 
     /// Re-assesses health for every subscription bound to `queue` without
     /// waiting for ingest traffic — silence is exactly the condition that
-    /// cannot announce itself, so the observer connection's pump pass
-    /// drives stall detection. Rate-limited per subscription by its own
-    /// minimum update interval.
+    /// cannot announce itself, so the reactor's periodic sweep of the
+    /// observer connection drives stall detection. Rate-limited per
+    /// subscription by its own minimum update interval.
     pub fn sweep_subscriptions(&self, queue: &Arc<SubscriberQueue>) {
         let now = Instant::now();
         for entry in self.subs.entries_for(queue) {
@@ -895,7 +896,7 @@ impl CollectorState {
 
     /// [`sweep_subscriptions`](Self::sweep_subscriptions) for an in-process
     /// [`LocalSubscription`]: network subscribers get the silence sweep
-    /// from the reactor's pump pass automatically, but an embedded
+    /// from the reactor's periodic sweep automatically, but an embedded
     /// subscriber has no connection — call this periodically (e.g. before
     /// draining) so stalls are detected without ingest traffic.
     pub fn sweep_local(&self, sub: &LocalSubscription) {
@@ -1899,7 +1900,7 @@ impl CollectorState {
             (
                 |t| &t.pump,
                 "hb_collector_pump_latency_seconds",
-                "Observer pump pass latency (silence sweep + queue drain).",
+                "Observer pump pass latency (queue drain into the outbound buffer).",
             ),
             (
                 |t| &t.query,
@@ -2525,7 +2526,7 @@ impl Handler for ProducerHandler {
         self.link.is_some()
     }
 
-    fn on_pump(&mut self, out: &mut OutBuf, _pending_out: usize) -> bool {
+    fn on_sweep(&mut self) {
         if let Some((link, _)) = &self.link {
             if self.link_current() {
                 // Retract routes whose entries went inactive without an
@@ -2533,6 +2534,13 @@ impl Handler for ProducerHandler {
                 for sub_id in link.collect_dead_routes() {
                     link.push_frame(&Frame::Unsubscribe { sub_id });
                 }
+            }
+        }
+    }
+
+    fn on_pump(&mut self, out: &mut OutBuf, _pending_out: usize) -> bool {
+        if let Some((link, _)) = &self.link {
+            if self.link_current() {
                 link.drain_outbox(out.vec_mut());
             }
         }
@@ -2759,16 +2767,22 @@ impl Handler for ObserverHandler {
         self.queue.is_some()
     }
 
+    fn on_sweep(&mut self) {
+        // Silence cannot announce itself through the ingest path; the
+        // reactor's periodic sweep drives stall re-assessment for this
+        // connection's health subscriptions (rate-limited per
+        // subscription).
+        if let Some(queue) = &self.queue {
+            self.state.sweep_subscriptions(queue);
+        }
+    }
+
     fn on_pump(&mut self, out: &mut OutBuf, pending_out: usize) -> bool {
         let Some(queue) = &self.queue else {
             return true;
         };
         let telemetry = self.state.stage_telemetry();
         let started = telemetry.start();
-        // Silence cannot announce itself through the ingest path; the pump
-        // pass drives stall re-assessment for this connection's health
-        // subscriptions (rate-limited per subscription).
-        self.state.sweep_subscriptions(queue);
         // Drain queued events into the outbound buffer only while the peer
         // keeps up; otherwise they stay queued and drop-oldest accounting
         // applies at the bounded queue, never at the reactor's slow-consumer

@@ -9,9 +9,20 @@
 //!   timer wheel, and connection table; nothing readiness-related is shared
 //!   between threads. Shard 0 additionally owns every listener (the
 //!   **acceptor**) and distributes accepted connections round-robin via
-//!   per-shard handoff queues that each shard drains on its next loop
-//!   iteration (bounded by the poll timeout, far below any protocol
-//!   negotiation deadline).
+//!   per-shard handoff queues.
+//! * **Wakers** — each shard owns a `ShardWaker`: an `eventfd` in its
+//!   epoll set. Every cross-thread handoff of work signals the owning
+//!   shard's waker: a connection handoff or migration, a push-subscription
+//!   event queued by another shard's ingest, a frame pushed onto a
+//!   federation link's outbox, and shutdown. The shard wakes at once and
+//!   installs the connection or runs a pump pass, instead of finding the
+//!   work when its poll times out. An `armed` flag makes concurrent
+//!   signals share one `write`; a signal from the shard's own thread only
+//!   sets a thread-local "pump due" flag and makes no syscall.
+//! * **One periodic sweep** — the poll timeout bounds neither delivery nor
+//!   handoff. It only paces a sweep pass, once per timeout, for work
+//!   nothing signals: silence sweeps over health subscriptions and
+//!   dead-route collection ([`Handler::on_sweep`]), plus idle eviction.
 //! * **Connection re-homing** — a [`Handler`] may report a preferred
 //!   [`home_shard`](Handler::home_shard) once it learns who the peer is
 //!   (the collector does this at `Hello`, hashing the application name).
@@ -36,7 +47,7 @@
 //! `std` equivalents. Linux gets real `epoll`/`readv`/`writev` via the
 //! workspace's `libc` shim.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -52,12 +63,77 @@ thread_local! {
     /// per-shard telemetry) pick their partition without passing a shard
     /// index through every callback.
     static CURRENT_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The waker of the shard this thread runs, when it is an I/O thread.
+    static SHARD_WAKER: OnceCell<Arc<ShardWaker>> = const { OnceCell::new() };
+    /// Set when this I/O thread queued pump work for its own shard: the
+    /// loop runs a pump pass before it parks again.
+    static PUMP_DUE: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The reactor shard index of the calling thread, or `None` when the caller
 /// is not a reactor I/O thread (e.g. an embedded producer or a test).
 pub fn current_shard() -> Option<usize> {
     CURRENT_SHARD.with(|cell| cell.get())
+}
+
+/// The waker of the calling thread's shard, or `None` off the reactor.
+/// Work that a shard's handlers pump (a subscriber queue, a link outbox)
+/// records the waker of the shard that created it and signals it on every
+/// push.
+pub(crate) fn current_waker() -> Option<Arc<ShardWaker>> {
+    SHARD_WAKER.with(|cell| cell.get().cloned())
+}
+
+/// Wakes one reactor shard out of its poll when another thread hands it
+/// work: an `eventfd` registered in the shard's epoll set, plus an `armed`
+/// flag so that concurrent signals share one `write`.
+///
+/// Why no signal is lost: a signaller queues its work first (under that
+/// queue's mutex) and then swaps `armed` to true. Only the swap that finds
+/// it false writes the eventfd. The woken shard reads the eventfd, then
+/// swaps `armed` back to false, then drains its queues. Every operation on
+/// `armed` is a read-modify-write, so signals and disarms are totally
+/// ordered. A signal ordered before the disarm skipped its write, but its
+/// releasing swap is in the release sequence that the disarm's acquire
+/// reads from, so the drain that follows sees its work. A signal ordered
+/// after the disarm finds `armed` false and writes, so the shard wakes
+/// again. The read comes before the disarm so that it can only consume
+/// writes whose work the drain will see.
+#[derive(Debug)]
+pub(crate) struct ShardWaker {
+    armed: AtomicBool,
+    fd: sys::WakeFd,
+}
+
+impl ShardWaker {
+    fn new() -> io::Result<ShardWaker> {
+        Ok(ShardWaker {
+            armed: AtomicBool::new(false),
+            fd: sys::WakeFd::new()?,
+        })
+    }
+
+    /// Signals the shard that work is queued for it. From the shard's own
+    /// thread this only marks a pump as due; elsewhere the first signal
+    /// since the shard last woke writes the eventfd.
+    pub(crate) fn wake(&self) {
+        let own = SHARD_WAKER.with(|cell| cell.get().is_some_and(|w| std::ptr::eq(&**w, self)));
+        if own {
+            PUMP_DUE.with(|due| due.set(true));
+            return;
+        }
+        // ordering: Release publishes the queued work to the disarm's Acquire in reset() (see the type docs)
+        if !self.armed.swap(true, Ordering::AcqRel) {
+            self.fd.notify();
+        }
+    }
+
+    /// Consumes a wake: drains the eventfd, then disarms, in that order
+    /// (see the type docs).
+    fn reset(&self) {
+        self.fd.drain();
+        self.armed.swap(false, Ordering::AcqRel); // ordering: Acquire pairs with every signaller's Release swap, so the drain after this sees their work
+    }
 }
 
 /// One segment of queued outbound bytes: either privately owned or a shared
@@ -279,23 +355,34 @@ pub trait Handler: Send {
         None
     }
 
-    /// True if this connection wants periodic [`on_pump`](Self::on_pump)
-    /// callbacks — the hook push-subscription handlers use to move events
-    /// that originated on *other* connections (producer ingest) into this
+    /// True if this connection wants [`on_pump`](Self::on_pump) callbacks —
+    /// the hook push-subscription handlers use to move events that
+    /// originated on *other* connections (producer ingest) into this
     /// connection's outbound buffer, from which the normal `EPOLLOUT` path
-    /// drains them. Checked on every pump pass, so a handler may become
-    /// pumpable mid-life (e.g. when its first subscription arrives).
+    /// drains them. Checked after every [`on_data`](Self::on_data), so a
+    /// handler may become pumpable mid-life (e.g. when its first
+    /// subscription arrives); the connection leaves the pump list on the
+    /// first pass that finds it false.
     fn wants_pump(&self) -> bool {
         false
     }
 
-    /// Called on every reactor pump pass (at least every poll timeout)
-    /// while [`wants_pump`](Self::wants_pump) is true. `pending_out` is the
+    /// Called on every pump pass of this connection's shard while
+    /// [`wants_pump`](Self::wants_pump) is true. A pass runs as soon as the
+    /// work it pumps is signalled through the shard's `ShardWaker` —
+    /// whoever queues that work must signal it — and once per poll timeout
+    /// after [`on_sweep`](Self::on_sweep). `pending_out` is the
     /// connection's current outbound backlog, so a handler can hold off
     /// enqueueing more for a slow consumer. Return `false` to close.
     fn on_pump(&mut self, _out: &mut OutBuf, _pending_out: usize) -> bool {
         true
     }
+
+    /// Called once per poll timeout, just before that pass's
+    /// [`on_pump`](Self::on_pump), while the connection is pumpable:
+    /// periodic work that no other thread signals, such as silence sweeps
+    /// and dead-route collection.
+    fn on_sweep(&mut self) {}
 
     /// True if this connection must never be idle-evicted — e.g. an
     /// observer holding an active push subscription, which is legitimately
@@ -357,15 +444,16 @@ impl Default for ReactorConfig {
 /// Number of slots in the idle-eviction timer wheel.
 const WHEEL_SLOTS: usize = 64;
 
-/// Poll timeout: bounds shutdown latency, timer-wheel granularity drift, and
-/// the latency of the acceptor→shard connection handoff.
+/// Period of the sweep pass ([`Handler::on_sweep`] plus a pump over every
+/// pumpable connection) and the longest a shard parks in its poll. Handoffs,
+/// pushed events and shutdown wake the shard through its [`ShardWaker`], so
+/// this bounds only the silence sweeps, dead-route collection and the
+/// timer-wheel granularity drift.
 const POLL_TIMEOUT: Duration = Duration::from_millis(20);
 
-/// Minimum spacing between pump passes over the connection table. Bounds
-/// push-event delivery latency from below while keeping a busy ingest loop
-/// (which wakes the poller far more often) from re-scanning every
-/// connection per readiness burst.
-const PUMP_INTERVAL: Duration = Duration::from_millis(5);
+/// Poller token of each shard's wake eventfd (connection tokens count up
+/// from the listener count and never reach it).
+const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Bytes read from one connection per readiness event before yielding to
 /// others (fairness bound; level-triggered polling re-notifies).
@@ -391,15 +479,37 @@ struct Injected {
     out: OutBuf,
 }
 
-/// Per-shard handoff queues, indexed by shard.
-type HandoffQueues = Arc<Vec<Mutex<Vec<Injected>>>>;
+/// What other threads hand one shard: connections in flight toward it,
+/// and the waker they signal after queueing one.
+struct Inbox {
+    handoff: Mutex<Vec<Injected>>,
+    waker: Arc<ShardWaker>,
+}
+
+impl Inbox {
+    /// Queues a connection for this shard and wakes it to install it.
+    fn hand_off(&self, injected: Injected) {
+        // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
+        self.handoff.lock().unwrap().push(injected);
+        self.waker.wake();
+    }
+
+    /// Takes every queued connection.
+    fn take(&self) -> Vec<Injected> {
+        // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
+        std::mem::take(&mut *self.handoff.lock().unwrap())
+    }
+}
+
+/// Per-shard inboxes, indexed by shard.
+type Inboxes = Arc<Vec<Inbox>>;
 
 /// A fixed pool of I/O shards multiplexing listeners and connections.
 pub struct Reactor {
     stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
     evicted: Arc<AtomicU64>,
-    queues: HandoffQueues,
+    inboxes: Inboxes,
 }
 
 impl std::fmt::Debug for Reactor {
@@ -431,8 +541,16 @@ impl Reactor {
             .into_iter()
             .map(|spec| (spec.listener, spec.factory))
             .collect();
-        let queues: HandoffQueues =
-            Arc::new((0..io_threads).map(|_| Mutex::new(Vec::new())).collect());
+        let inboxes: Inboxes = Arc::new(
+            (0..io_threads)
+                .map(|_| {
+                    Ok(Inbox {
+                        handoff: Mutex::new(Vec::new()),
+                        waker: Arc::new(ShardWaker::new()?),
+                    })
+                })
+                .collect::<io::Result<_>>()?,
+        );
 
         let mut threads = Vec::with_capacity(io_threads);
         for index in 0..io_threads {
@@ -449,8 +567,7 @@ impl Reactor {
                 let stats = config.thread_stats.as_ref().map(|threads| threads.register());
                 let io_thread = IoThread::build(
                     index,
-                    io_threads,
-                    Arc::clone(&queues),
+                    Arc::clone(&inboxes),
                     own,
                     config.clone(),
                     Arc::clone(&stop),
@@ -461,6 +578,9 @@ impl Reactor {
                     .name(format!("hb-reactor-{index}"))
                     .spawn(move || {
                         CURRENT_SHARD.with(|cell| cell.set(Some(index)));
+                        SHARD_WAKER.with(|cell| {
+                            let _ = cell.set(Arc::clone(&io_thread.waker));
+                        });
                         io_thread.run()
                     })
                     .map_err(io::Error::other)
@@ -482,7 +602,7 @@ impl Reactor {
             stop,
             threads,
             evicted,
-            queues,
+            inboxes,
         })
     }
 
@@ -501,15 +621,17 @@ impl Reactor {
     /// per-connection threads).
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst); // ordering: shutdown flag; SeqCst keeps the rare path simple
+        for inbox in self.inboxes.iter() {
+            inbox.waker.wake();
+        }
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
         // A migration can land in a handoff queue after its target shard
         // drained for the last time; fire the close callbacks now that all
         // threads are joined.
-        for queue in self.queues.iter() {
-            // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-            for mut injected in queue.lock().unwrap().drain(..) {
+        for inbox in self.inboxes.iter() {
+            for mut injected in inbox.take() {
                 injected.handler.on_close();
             }
         }
@@ -535,14 +657,17 @@ struct Conn {
     interest: (bool, bool),
     /// Close once the outbound buffer drains.
     closing: bool,
+    /// Whether the connection is on its shard's pump list.
+    pumped: bool,
     last_active: Instant,
 }
 
 /// One I/O shard: an epoll instance plus the connections it owns.
 struct IoThread {
     shard: usize,
-    nshards: usize,
-    queues: HandoffQueues,
+    inboxes: Inboxes,
+    /// This shard's waker (also in `inboxes`), registered in `poller`.
+    waker: Arc<ShardWaker>,
     /// Round-robin cursor for distributing accepted connections (acceptor
     /// shard only).
     next_rr: usize,
@@ -555,22 +680,21 @@ struct IoThread {
     stop: Arc<AtomicBool>,
     evicted: Arc<AtomicU64>,
     scratch: Vec<u8>,
-    last_pump: Instant,
-    /// Reused token buffer for pump passes (no per-pass allocation).
-    pump_scratch: Vec<u64>,
+    /// Tokens of the connections whose handler wants pump passes, so a
+    /// wake-driven pass never scans the whole connection table.
+    pumpable: Vec<u64>,
     /// This thread's utilization counters, when the owner asked for them.
     stats: Option<Arc<ThreadStats>>,
 }
 
 impl IoThread {
-    /// Creates the poller and registers the listeners up front, so fd
-    /// exhaustion (or any epoll failure) surfaces as a `Reactor::spawn`
-    /// error instead of a panic inside an already-running I/O thread.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates the poller and registers the wake eventfd and the listeners
+    /// up front, so fd exhaustion (or any epoll failure) surfaces as a
+    /// `Reactor::spawn` error instead of a panic inside an already-running
+    /// I/O thread.
     fn build(
         shard: usize,
-        nshards: usize,
-        queues: HandoffQueues,
+        inboxes: Inboxes,
         listeners: Vec<(TcpListener, HandlerFactory)>,
         config: ReactorConfig,
         stop: Arc<AtomicBool>,
@@ -582,15 +706,20 @@ impl IoThread {
         } else {
             (config.idle_timeout / WHEEL_SLOTS as u32).max(Duration::from_millis(1))
         };
+        let waker = inboxes
+            .get(shard)
+            .map(|inbox| Arc::clone(&inbox.waker))
+            .ok_or_else(|| io::Error::other("reactor shard index out of range"))?;
         let poller = sys::Poller::new()?;
+        poller.register(waker.fd.raw(), WAKE_TOKEN, true, false)?;
         for (index, (listener, _)) in listeners.iter().enumerate() {
             poller.register(sys::raw_fd(listener), index as u64, true, false)?;
         }
         let next_token = listeners.len() as u64;
         Ok(IoThread {
             shard,
-            nshards,
-            queues,
+            inboxes,
+            waker,
             next_rr: 0,
             poller,
             listeners,
@@ -601,8 +730,7 @@ impl IoThread {
             stop,
             evicted,
             scratch: vec![0u8; READ_CHUNK],
-            last_pump: Instant::now(),
-            pump_scratch: Vec::new(),
+            pumpable: Vec::new(),
             stats,
         })
     }
@@ -610,13 +738,18 @@ impl IoThread {
     fn run(mut self) {
         let listener_count = self.listeners.len() as u64;
         let mut events = Vec::with_capacity(128);
+        let mut next_sweep = Instant::now() + POLL_TIMEOUT;
+        let mut timeout = POLL_TIMEOUT;
         while !self.stop.load(Ordering::SeqCst) { // ordering: shutdown flag; SeqCst keeps the rare path simple
             events.clear();
             // Three clock reads per iteration split the loop into a parked
             // span (inside the poller) and a busy span (everything else) —
             // at most once per POLL_TIMEOUT when idle.
             let parked_at = self.stats.as_ref().map(|_| Instant::now());
-            let wait_result = self.poller.wait(&mut events, POLL_TIMEOUT);
+            let due = PUMP_DUE.with(|due| due.get());
+            let wait_result = self
+                .poller
+                .wait(&mut events, if due { Duration::ZERO } else { timeout });
             let busy_at = match (&self.stats, parked_at) {
                 (Some(stats), Some(parked_at)) => {
                     let now = Instant::now();
@@ -631,19 +764,34 @@ impl IoThread {
                 }
                 break; // poller broken; bail out rather than spin
             }
-            self.drain_handoff();
+            let woken = events.iter().any(|event| event.token == WAKE_TOKEN);
+            if woken {
+                self.waker.reset();
+                self.drain_handoff();
+            }
             for event in &events {
-                if event.token < listener_count {
+                if event.token == WAKE_TOKEN {
+                    continue;
+                } else if event.token < listener_count {
                     self.accept_all(event.token as usize);
                 } else {
                     self.drive(event.token, event.readable, event.writable);
                 }
             }
-            self.pump();
-            self.evict_idle();
+            let now = Instant::now();
+            let sweep = now >= next_sweep;
+            if sweep {
+                next_sweep = now + POLL_TIMEOUT;
+            }
+            let due = PUMP_DUE.with(|due| due.replace(false));
+            if woken || due || sweep {
+                self.pump(sweep);
+            }
+            self.evict_idle(now);
+            timeout = next_sweep.saturating_duration_since(now);
             if let (Some(stats), Some(busy_at)) = (&self.stats, busy_at) {
                 stats.add_busy(busy_at.elapsed());
-                stats.add_loop(events.len());
+                stats.add_loop(events.len() - usize::from(woken));
             }
         }
 
@@ -653,24 +801,20 @@ impl IoThread {
         for token in tokens {
             self.close(token);
         }
-        // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-        for mut injected in self.queues[self.shard].lock().unwrap().drain(..) { // hb-lint: allow(index): shard < queues.len(): one queue per shard by construction
+        for mut injected in self.inbox().take() {
             injected.handler.on_close();
         }
+    }
+
+    /// This shard's own inbox.
+    fn inbox(&self) -> &Inbox {
+        &self.inboxes[self.shard] // hb-lint: allow(index): shard < inboxes.len(): checked in build, one inbox per shard
     }
 
     /// Installs connections other shards handed to this one (fresh accepts
     /// from the acceptor, migrations toward their home shard).
     fn drain_handoff(&mut self) {
-        let injected = {
-            // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-            let mut queue = self.queues[self.shard].lock().unwrap(); // hb-lint: allow(index): shard < queues.len(): one queue per shard by construction
-            if queue.is_empty() {
-                return;
-            }
-            std::mem::take(&mut *queue)
-        };
-        for conn in injected {
+        for conn in self.inbox().take() {
             self.install(conn);
         }
     }
@@ -700,11 +844,13 @@ impl IoThread {
             out,
             interest: (true, false),
             closing: false,
+            pumped: false,
             last_active: Instant::now(),
         };
         if !conn.handler.on_data(&[], &mut conn.out) {
             conn.closing = true;
         }
+        Self::enlist_pumpable(&mut self.pumpable, token, &mut conn);
         self.conns.insert(token, conn);
         if !self.config.idle_timeout.is_zero() {
             self.wheel.insert(token);
@@ -712,31 +858,39 @@ impl IoThread {
         self.flush_conn(token);
     }
 
+    /// Puts a connection on the pump list once its handler asks for pump
+    /// passes (checked after every `on_data`).
+    fn enlist_pumpable(pumpable: &mut Vec<u64>, token: u64, conn: &mut Conn) {
+        if !conn.pumped && !conn.closing && conn.handler.wants_pump() {
+            conn.pumped = true;
+            pumpable.push(token);
+        }
+    }
+
     /// Drains the accept queue of listener `index` (level-triggered polling
     /// re-notifies if more arrive while we work), distributing connections
     /// round-robin across all shards.
     fn accept_all(&mut self, index: usize) {
         loop {
-            let accepted = self.listeners[index].0.accept(); // hb-lint: allow(index): index < listeners.len(): tokens map to registered listeners
-            match accepted {
+            let Some((listener, factory)) = self.listeners.get(index) else {
+                return;
+            };
+            match listener.accept() {
                 Ok((stream, peer)) => {
                     if sys::set_nonblocking(&stream).is_err() {
                         continue;
                     }
                     stream.set_nodelay(true).ok();
-                    let handler = (self.listeners[index].1)(peer); // hb-lint: allow(index): index < listeners.len(): tokens map to registered listeners
-                    let target = self.next_rr % self.nshards;
-                    self.next_rr = self.next_rr.wrapping_add(1);
                     let injected = Injected {
                         stream,
-                        handler,
+                        handler: factory(peer),
                         out: OutBuf::new(),
                     };
-                    if target == self.shard {
-                        self.install(injected);
-                    } else {
-                        // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-                        self.queues[target].lock().unwrap().push(injected); // hb-lint: allow(index): target < queues.len(): shard_of() reduces modulo the shard count
+                    let target = self.next_rr % self.inboxes.len();
+                    self.next_rr = self.next_rr.wrapping_add(1);
+                    match self.inboxes.get(target) {
+                        Some(inbox) if target != self.shard => inbox.hand_off(injected),
+                        _ => self.install(injected),
                     }
                 }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
@@ -770,7 +924,7 @@ impl IoThread {
                                 break;
                             }
                             if let Some(home) = conn.handler.home_shard() {
-                                let target = home % self.nshards;
+                                let target = home % self.inboxes.len();
                                 if target != self.shard {
                                     migrate = Some(target);
                                     break;
@@ -792,6 +946,7 @@ impl IoThread {
                         }
                     }
                 }
+                Self::enlist_pumpable(&mut self.pumpable, token, conn);
             }
         }
         if dead {
@@ -805,17 +960,18 @@ impl IoThread {
     }
 
     /// Moves a connection — socket, handler, pending output — to its home
-    /// shard's handoff queue. The timer-wheel token lapses on its own; no
-    /// close callback fires, because the connection lives on.
+    /// shard's handoff queue and wakes that shard. The timer-wheel and
+    /// pump-list tokens lapse on their own; no close callback fires,
+    /// because the connection lives on.
     fn migrate(&mut self, token: u64, target: usize) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(sys::raw_fd(&conn.stream));
-            // hb-lint: allow(panic): handoff-queue mutex poisoning implies a prior panic on another shard; propagating it is the only sane response
-            self.queues[target].lock().unwrap().push(Injected { // hb-lint: allow(index): target < queues.len(): shard_of() reduces modulo the shard count
+            let injected = Injected {
                 stream: conn.stream,
                 handler: conn.handler,
                 out: conn.out,
-            });
+            };
+            self.inboxes[target].hand_off(injected); // hb-lint: allow(index): target < inboxes.len(): reduced modulo the shard count in drive()
         }
     }
 
@@ -872,42 +1028,40 @@ impl IoThread {
         }
     }
 
-    /// Gives every pump-interested handler a chance to move externally
-    /// produced bytes (push-subscription events) into its outbound buffer,
-    /// then flushes. Rate-limited so a busy ingest loop does not scan the
-    /// connection table on every readiness burst.
-    fn pump(&mut self) {
-        let now = Instant::now();
-        if now.duration_since(self.last_pump) < PUMP_INTERVAL {
-            return;
-        }
-        self.last_pump = now;
-        self.pump_scratch.clear();
-        self.pump_scratch.extend(
-            self.conns
-                .iter()
-                .filter(|(_, conn)| !conn.closing && conn.handler.wants_pump())
-                .map(|(&token, _)| token),
-        );
-        // Tokens were collected above; a handler closed by an earlier pump
-        // in this pass is simply skipped by the map lookup.
-        let tokens = std::mem::take(&mut self.pump_scratch);
-        for &token in &tokens {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                let pending = conn.out.pending();
-                if !conn.handler.on_pump(&mut conn.out, pending) {
-                    conn.closing = true;
-                }
-                // Touch the timer wheel only on actual delivery: a static
-                // backlog toward a stuck peer must still idle out once the
-                // keep-alive exemption lapses.
-                if conn.out.pending() > pending {
-                    conn.last_active = Instant::now();
-                }
-                self.flush_conn(token);
+    /// Gives every connection on the pump list a chance to move externally
+    /// produced bytes (push-subscription events, link frames) into its
+    /// outbound buffer, then flushes. Runs when the shard is woken or its
+    /// own thread queued pump work, and on every sweep, which first calls
+    /// each handler's `on_sweep`. Connections that closed, migrated or
+    /// stopped wanting pumps leave the list here.
+    fn pump(&mut self, sweep: bool) {
+        let mut tokens = std::mem::take(&mut self.pumpable);
+        tokens.retain(|&token| {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return false; // closed or migrated since it was listed
+            };
+            if conn.closing || !conn.handler.wants_pump() {
+                conn.pumped = false;
+                return false;
             }
-        }
-        self.pump_scratch = tokens;
+            if sweep {
+                conn.handler.on_sweep();
+            }
+            let pending = conn.out.pending();
+            if !conn.handler.on_pump(&mut conn.out, pending) {
+                conn.closing = true;
+            }
+            // Touch the timer wheel only on actual delivery: a static
+            // backlog toward a stuck peer must still idle out once the
+            // keep-alive exemption lapses.
+            if conn.out.pending() > pending {
+                conn.last_active = Instant::now();
+            }
+            self.flush_conn(token);
+            true
+        });
+        // Nothing in a pass lists new connections (only `on_data` does).
+        self.pumpable = tokens;
     }
 
     /// Removes a connection, deregistering it and firing `on_close` once.
@@ -920,11 +1074,10 @@ impl IoThread {
 
     /// Advances the timer wheel and evicts connections idle past the
     /// timeout. Active connections found in a fired slot are re-armed.
-    fn evict_idle(&mut self) {
+    fn evict_idle(&mut self, now: Instant) {
         if self.config.idle_timeout.is_zero() {
             return;
         }
-        let now = Instant::now();
         let idle_timeout = self.config.idle_timeout;
         let mut evict = Vec::new();
         self.wheel.advance(now, |token, wheel| {
@@ -1041,9 +1194,10 @@ impl TimerWheel {
 /// workspace `libc` shim.
 #[cfg(target_os = "linux")]
 mod sys {
-    use std::io;
+    use std::fs::File;
+    use std::io::{self, Read, Write};
     use std::net::TcpStream;
-    use std::os::fd::AsRawFd;
+    use std::os::fd::{AsRawFd, FromRawFd};
     use std::time::Duration;
 
     use super::MAX_WRITE_IOVECS;
@@ -1121,7 +1275,9 @@ mod sys {
                     self.epfd,
                     buf.as_mut_ptr(),
                     buf.len() as i32,
-                    timeout.as_millis().min(i32::MAX as u128) as i32,
+                    // Round up: a sub-millisecond wait must not become a
+                    // zero-timeout spin until the deadline.
+                    timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32,
                 )
             };
             if n < 0 {
@@ -1147,6 +1303,38 @@ mod sys {
             unsafe {
                 libc::close(self.epfd);
             }
+        }
+    }
+
+    /// A shard's wake `eventfd` (non-blocking, so neither side ever
+    /// stalls on it).
+    #[derive(Debug)]
+    pub struct WakeFd(File);
+
+    impl WakeFd {
+        pub fn new() -> io::Result<WakeFd> {
+            let fd = unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) };
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            // SAFETY: eventfd just returned this fd and nothing else owns it.
+            Ok(WakeFd(unsafe { File::from_raw_fd(fd) }))
+        }
+
+        pub fn raw(&self) -> i32 {
+            self.0.as_raw_fd()
+        }
+
+        /// Makes the fd readable. The only possible failure is a counter
+        /// at its maximum, which is readable already.
+        pub fn notify(&self) {
+            let _ = (&self.0).write(&1u64.to_ne_bytes());
+        }
+
+        /// Zeroes the counter so the fd stops polling readable.
+        pub fn drain(&self) {
+            let mut buf = [0u8; 8];
+            let _ = (&self.0).read(&mut buf);
         }
     }
 
@@ -1285,6 +1473,26 @@ mod sys {
             }
             Ok(())
         }
+    }
+
+    /// Wake surrogate: the fallback poller reports every registration after
+    /// each short sleep, so a shard notices its wake flag within one tick
+    /// without any descriptor.
+    #[derive(Debug)]
+    pub struct WakeFd;
+
+    impl WakeFd {
+        pub fn new() -> io::Result<WakeFd> {
+            Ok(WakeFd)
+        }
+
+        pub fn raw(&self) -> i32 {
+            -1
+        }
+
+        pub fn notify(&self) {}
+
+        pub fn drain(&self) {}
     }
 
     /// Raw fd surrogate: fallback registrations are keyed per socket object.
@@ -1782,6 +1990,115 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         drop(stream);
+    }
+
+    /// Work queued for a pump handler from a foreign thread, shaped like a
+    /// subscriber queue: the handler records its shard's waker when it is
+    /// installed, and every push signals it.
+    #[derive(Default)]
+    struct PushSource {
+        pushed: Mutex<VecDeque<Instant>>,
+        waker: Mutex<Option<Arc<ShardWaker>>>,
+        delays: Mutex<Vec<Duration>>,
+    }
+
+    impl PushSource {
+        fn push(&self) {
+            self.pushed.lock().unwrap().push_back(Instant::now());
+            if let Some(waker) = &*self.waker.lock().unwrap() {
+                waker.wake();
+            }
+        }
+    }
+
+    /// Pump handler fed by a [`PushSource`]; only the connection that lands
+    /// on shard 1 attaches to it.
+    struct PushSink {
+        source: Arc<PushSource>,
+        attached: bool,
+    }
+
+    impl Handler for PushSink {
+        fn on_data(&mut self, _input: &[u8], _out: &mut OutBuf) -> bool {
+            if !self.attached && current_shard() == Some(1) {
+                self.attached = true;
+                *self.source.waker.lock().unwrap() = current_waker();
+            }
+            true
+        }
+
+        fn wants_pump(&self) -> bool {
+            self.attached
+        }
+
+        fn on_pump(&mut self, out: &mut OutBuf, _pending_out: usize) -> bool {
+            let now = Instant::now();
+            let mut pushed = self.source.pushed.lock().unwrap();
+            let mut delays = self.source.delays.lock().unwrap();
+            for at in pushed.drain(..) {
+                delays.push(now.duration_since(at));
+                out.extend_from_slice(b"e");
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn cross_shard_push_wakes_the_pump_at_once() {
+        const ITEMS: usize = 120;
+        let source = Arc::new(PushSource::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let spec = ListenerSpec {
+            listener,
+            factory: {
+                let source = Arc::clone(&source);
+                Arc::new(move |_| {
+                    Box::new(PushSink {
+                        source: Arc::clone(&source),
+                        attached: false,
+                    }) as Box<dyn Handler>
+                })
+            },
+        };
+        let _reactor = Reactor::spawn(
+            vec![spec],
+            ReactorConfig {
+                io_threads: 2,
+                ..ReactorConfig::default()
+            },
+            Arc::new(AtomicU64::new(0)),
+        )
+        .unwrap();
+        // Round-robin puts the first connection on shard 0 and the second
+        // on shard 1; neither ever sends a byte.
+        let _first = TcpStream::connect(addr).unwrap();
+        let mut second = TcpStream::connect(addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while source.waker.lock().unwrap().is_none() {
+            assert!(
+                Instant::now() < deadline,
+                "no connection attached on shard 1"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for _ in 0..ITEMS {
+            source.push();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        second
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut delivered = [0u8; ITEMS];
+        second.read_exact(&mut delivered).unwrap();
+        let mut delays = source.delays.lock().unwrap().clone();
+        assert_eq!(delays.len(), ITEMS);
+        delays.sort();
+        let median = delays[ITEMS / 2];
+        assert!(
+            median < POLL_TIMEOUT / 4,
+            "median push-to-pump delay {median:?}: the pump must not wait for the poll timeout"
+        );
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! ingest path asks the registry for the entries matching an application
 //! (one atomic load answers "nobody is subscribed", keeping the
 //! zero-subscriber hot path free), builds the due events under the shard
-//! lock, and enqueues them after it; the reactor's pump pass then drains
-//! each connection's queue into its outbound buffer, from which the normal
-//! `EPOLLOUT` path ships them.
+//! lock, and enqueues them after it. Each enqueue wakes the reactor shard
+//! that created the queue, whose pump pass then drains the connection's
+//! queue into its outbound buffer, from which the normal `EPOLLOUT` path
+//! ships them.
 //!
 //! Backpressure is **drop-oldest with accounting**: a queue at capacity
 //! sheds its oldest event and bumps the subscriber's and the collector's
@@ -23,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::health::HealthStatus;
-use crate::reactor::OutBuf;
+use crate::reactor::{OutBuf, ShardWaker};
 use crate::telemetry::{self, LatencyHisto, Level};
 use crate::wire::{self, EventFrame, EventPayload, Frame, SubscribeReq, SubStatus};
 
@@ -66,6 +67,11 @@ pub struct SubscriberQueue {
     /// over them — each one is a potential gap a reconnecting parent can
     /// no longer be spared.
     replay_dropped: AtomicU64,
+    /// The reactor shard that created the queue (an observer connection's
+    /// shard), signalled on every enqueue so its pump drains the queue at
+    /// once. `None` for queues made off the reactor, which their owner
+    /// drains itself.
+    waker: Option<Arc<ShardWaker>>,
 }
 
 impl SubscriberQueue {
@@ -76,6 +82,8 @@ impl SubscriberQueue {
 
     /// Creates a bounded queue that records enqueue-to-drain delivery lag
     /// into `lag` as events leave toward the subscriber's socket buffer.
+    /// Created on a reactor I/O thread, the queue wakes that shard on every
+    /// enqueue.
     pub fn with_telemetry(capacity: usize, lag: Option<Arc<LatencyHisto>>) -> Self {
         SubscriberQueue {
             inner: Mutex::new(VecDeque::new()),
@@ -85,6 +93,7 @@ impl SubscriberQueue {
             lag,
             replay: Mutex::new(HashMap::new()),
             replay_dropped: AtomicU64::new(0),
+            waker: crate::reactor::current_waker(),
         }
     }
 
@@ -717,6 +726,9 @@ impl SubscriptionRegistry {
             self.events_dropped.fetch_add(1, Ordering::Release); // ordering: pairs with the Acquire load in stats so dropped never exceeds enqueued there
         }
         drop(inner);
+        if let Some(waker) = &entry.queue.waker {
+            waker.wake();
+        }
         if dropped {
             crate::log!(
                 Level::Trace,

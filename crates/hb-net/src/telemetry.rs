@@ -189,7 +189,7 @@ pub struct PipelineTelemetry {
     /// Subscription fan-out (encode + bounded-queue enqueue), per batch
     /// with at least one watcher.
     pub fanout: LatencyHisto,
-    /// Observer pump pass (silence sweep + queue drain), per pass.
+    /// Observer pump pass (queue drain), per pass.
     pub pump: LatencyHisto,
     /// Query handling (line commands and binary query frames), per request.
     pub query: LatencyHisto,

@@ -56,6 +56,7 @@ use std::time::{Duration, Instant};
 use crate::auth;
 use crate::collector::CollectorState;
 use crate::frame::{FrameDecoder, FrameEvent};
+use crate::reactor::ShardWaker;
 use crate::subscribe::{LocalSubscription, SubEntry};
 use crate::telemetry::{self, Level};
 use crate::wire::{
@@ -309,6 +310,9 @@ pub(crate) struct UpstreamLink {
     last_applied: AtomicU64,
     /// Subscribe/Unsubscribe frames awaiting the link's pump pass.
     outbox: Mutex<Vec<u8>>,
+    /// The reactor shard serving the current session, woken by every
+    /// outbox push so its pump ships the frame at once.
+    waker: Mutex<Option<Arc<ShardWaker>>>,
     next_downlink: AtomicU32,
     /// Downlink subscription id → its route. Persistent across reconnects
     /// (resume watermarks live here); entries are retired only when their
@@ -340,6 +344,7 @@ impl UpstreamLink {
             session: AtomicU64::new(0),
             last_applied: AtomicU64::new(0),
             outbox: Mutex::new(Vec::new()),
+            waker: Mutex::new(None),
             next_downlink: AtomicU32::new(1),
             routes: Mutex::new(HashMap::new()),
             path: Mutex::new(Vec::new()),
@@ -352,14 +357,16 @@ impl UpstreamLink {
         }
     }
 
-    /// Starts a new link session: marks the link connected, clears the
-    /// stale outbox and returns the session token the serving handler must
-    /// present at close. Routes deliberately survive — their watermarks
-    /// are the resume points the new session subscribes from.
+    /// Starts a new link session on the calling reactor shard: marks the
+    /// link connected, clears the stale outbox, records the shard's waker
+    /// and returns the session token the serving handler must present at
+    /// close. Routes deliberately survive — their watermarks are the
+    /// resume points the new session subscribes from.
     pub(crate) fn begin_session(&self) -> u64 {
         let session = self.session.fetch_add(1, Ordering::AcqRel) + 1; // ordering: a new session orders after the old one's teardown and before its own stores
         self.connected.store(true, Ordering::Release); // ordering: publishes the session flip; pairs with Acquire readers
         self.outbox.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        *self.waker.lock().unwrap_or_else(|e| e.into_inner()) = crate::reactor::current_waker();
         session
     }
 
@@ -526,10 +533,13 @@ impl UpstreamLink {
         )
     }
 
-    /// Appends a frame to the link's outbox (drained by the serving
-    /// connection's pump pass).
+    /// Appends a frame to the link's outbox and wakes the serving
+    /// connection's shard, whose pump pass drains it.
     pub(crate) fn push_frame(&self, frame: &Frame) {
         frame.encode_into(&mut self.outbox.lock().unwrap_or_else(|e| e.into_inner()));
+        if let Some(waker) = &*self.waker.lock().unwrap_or_else(|e| e.into_inner()) {
+            waker.wake();
+        }
     }
 
     /// Moves the queued outbox bytes into `out`.
@@ -862,7 +872,9 @@ impl RelayWorker {
                 );
                 return true;
             }
-            let mut resumed = false;
+            // `resumed` stays set for the whole session: only the
+            // handshake's first ack is a resume point, every later ack
+            // just prunes the window.
             if !self.read_frames(&mut stream, &mut decoder, &mut resumed) {
                 return true;
             }
@@ -1203,6 +1215,62 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(window.resume(5, &mut out), 0);
         assert!(out.is_empty());
+    }
+
+    /// A clean link never retransmits: only the handshake's first ack is
+    /// a resume point. A relay that took any later ack for a resume would
+    /// re-send its whole unacked window without a single reconnect.
+    #[test]
+    fn clean_link_relays_without_retransmits() {
+        use crate::{Collector, CollectorConfig};
+
+        let root = Collector::with_config("127.0.0.1:0", "127.0.0.1:0", CollectorConfig::default())
+            .unwrap();
+        let leaf = Collector::with_config(
+            "127.0.0.1:0",
+            "127.0.0.1:0",
+            CollectorConfig {
+                upstream: Some(UpstreamConfig {
+                    tick: Duration::from_millis(1),
+                    ..UpstreamConfig::new(root.ingest_addr().to_string(), "edge")
+                }),
+                ..CollectorConfig::default()
+            },
+        )
+        .unwrap();
+        let stats = leaf.state().upstream_stats().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !stats.connected() {
+            assert!(Instant::now() < deadline, "uplink never connected");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Bursts of 100 rollups of 500 beats each, larger than one
+        // parent read: the parent acks every chunk it reads, so a relay
+        // turn finds several acks, the first of them partial, while the
+        // rest of the burst is still in flight.
+        const BATCHES: u64 = 1000;
+        const BEATS: usize = 500;
+        for batch in 0..BATCHES {
+            leaf.state().ingest_batch("app", 0, beats(BEATS));
+            if batch % 100 == 99 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        let root_state = root.state();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while root_state
+            .snapshot("edge/app")
+            .map_or(0, |snap| snap.total_beats)
+            < BATCHES * BEATS as u64
+        {
+            assert!(
+                Instant::now() < deadline,
+                "the root never applied every beat"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(stats.reconnects(), 0, "the link stayed up");
+        assert_eq!(stats.retransmits(), 0, "a clean link re-sends nothing");
     }
 
     proptest::proptest! {

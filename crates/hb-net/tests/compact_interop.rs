@@ -42,10 +42,7 @@ fn v3_client_negotiates_compact_with_v3_collector() {
     let backend = TcpBackend::with_config(
         collector.ingest_addr().to_string(),
         "compact-app",
-        TcpBackendConfig {
-            flush_interval: Duration::from_millis(1),
-            ..TcpBackendConfig::default()
-        },
+        TcpBackendConfig::default(),
     );
     for i in 0..500u64 {
         backend.on_beat("compact-app", &record(i), BeatScope::Global);
@@ -103,7 +100,6 @@ fn v3_client_falls_back_cleanly_against_v2_collector() {
         addr.to_string(),
         "fallback-app",
         TcpBackendConfig {
-            flush_interval: Duration::from_millis(1),
             negotiate_timeout: Duration::from_millis(30),
             ..TcpBackendConfig::default()
         },
@@ -162,7 +158,6 @@ fn v2_client_interops_with_v3_collector() {
         collector.ingest_addr().to_string(),
         "legacy-app",
         TcpBackendConfig {
-            flush_interval: Duration::from_millis(1),
             prefer_compact: false, // a v2-era producer
             ..TcpBackendConfig::default()
         },

@@ -52,10 +52,7 @@ fn rig(app: &str, window: Duration) -> (Collector, Arc<TcpBackend>, app_heartbea
     let backend = Arc::new(TcpBackend::with_config(
         collector.ingest_addr().to_string(),
         app,
-        TcpBackendConfig {
-            flush_interval: Duration::from_millis(2),
-            ..TcpBackendConfig::default()
-        },
+        TcpBackendConfig::default(),
     ));
     let hb = app_heartbeats::heartbeats::HeartbeatBuilder::new(app)
         .backend(Arc::clone(&backend) as Arc<dyn app_heartbeats::heartbeats::Backend>)

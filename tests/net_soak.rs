@@ -92,10 +92,7 @@ fn soak_256_producers_16_observers() {
             Arc::new(TcpBackend::with_config(
                 ingest.clone(),
                 format!("soak-{i}"),
-                TcpBackendConfig {
-                    flush_interval: Duration::from_millis(2),
-                    ..TcpBackendConfig::default()
-                },
+                TcpBackendConfig::default(),
             ))
         })
         .collect();

@@ -60,10 +60,7 @@ fn rig(
     let backend = Arc::new(TcpBackend::with_config(
         collector.ingest_addr().to_string(),
         app,
-        TcpBackendConfig {
-            flush_interval: Duration::from_millis(2),
-            ..TcpBackendConfig::default()
-        },
+        TcpBackendConfig::default(),
     ));
     let hb = HeartbeatBuilder::new(app)
         .backend(Arc::clone(&backend) as Arc<dyn Backend>)
@@ -396,10 +393,7 @@ fn active_subscription_survives_idle_timeout_shorter_than_event_gap() {
     let backend = Arc::new(TcpBackend::with_config(
         collector.ingest_addr().to_string(),
         "quiet-app",
-        TcpBackendConfig {
-            flush_interval: Duration::from_millis(2),
-            ..TcpBackendConfig::default()
-        },
+        TcpBackendConfig::default(),
     ));
     let hb = HeartbeatBuilder::new("quiet-app")
         .backend(Arc::clone(&backend) as Arc<dyn Backend>)
@@ -535,4 +529,70 @@ fn one_observer_fn_runs_over_local_shm_and_remote_transports() {
         event.kind,
         ObserveEventKind::Health { .. } | ObserveEventKind::Snapshot(_)
     ));
+}
+
+/// Push latency across reactor shards: the subscriber's connection sits on
+/// shard 1 while the producer's app is homed on shard 0, so no producer
+/// traffic ever wakes the subscriber's shard. Every enqueue must wake it
+/// anyway: the median event lag (collector enqueue wall clock to receipt)
+/// stays far below the reactor's 20 ms poll timeout.
+#[test]
+fn cross_shard_subscriber_gets_events_without_poll_latency() {
+    use app_heartbeats::net::CollectorState;
+    use std::time::{SystemTime, UNIX_EPOCH};
+
+    const BEATS: usize = 150;
+    let config = CollectorConfig {
+        io_threads: 2,
+        ..CollectorConfig::default()
+    };
+    let lookup = CollectorState::new(config.clone());
+    let app = (0..)
+        .map(|i| format!("lag-app-{i}"))
+        .find(|name| lookup.home_reactor_shard(&lookup.handle(name)) == 0)
+        .expect("some name homes on shard 0");
+    let collector =
+        Collector::with_config("127.0.0.1:0", "127.0.0.1:0", config).expect("bind collector");
+    // The reader's connection is the collector's first accept (shard 0);
+    // the subscription opens the second (shard 1); the producer's is the
+    // third and stays on shard 0, its app's home.
+    let reader = Arc::new(
+        RemoteReader::connect(collector.query_addr().to_string()).expect("connect reader"),
+    );
+    let sub = reader
+        .subscribe(&app, &ObserveFilter::new(Interest::BEATS))
+        .expect("subscribe");
+    let backend = Arc::new(TcpBackend::new(
+        collector.ingest_addr().to_string(),
+        app.as_str(),
+    ));
+    let hb = HeartbeatBuilder::new(app.as_str())
+        .backend(Arc::clone(&backend) as Arc<dyn Backend>)
+        .build()
+        .expect("build heartbeat");
+    hb.heartbeat();
+    sub.next_timeout(Duration::from_secs(5))
+        .expect("the first beat connects the producer and arrives");
+
+    let mut lags = Vec::with_capacity(BEATS);
+    for _ in 0..BEATS {
+        hb.heartbeat();
+        let event = sub
+            .next_timeout(Duration::from_secs(5))
+            .expect("every beat is pushed");
+        let now_ns = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .expect("clock after the epoch")
+            .as_nanos() as u64;
+        lags.push(Duration::from_nanos(
+            now_ns.saturating_sub(event.sent_at_ns),
+        ));
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    lags.sort();
+    let median = lags[BEATS / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median cross-shard event lag {median:?}"
+    );
 }

@@ -63,10 +63,7 @@ fn fanout_64_subscribers_8_apps_exact_counts() {
                 let backend = Arc::new(TcpBackend::with_config(
                     ingest,
                     &app,
-                    TcpBackendConfig {
-                        flush_interval: Duration::from_millis(2),
-                        ..TcpBackendConfig::default()
-                    },
+                    TcpBackendConfig::default(),
                 ));
                 let hb = HeartbeatBuilder::new(&app)
                     .backend(Arc::clone(&backend) as Arc<dyn Backend>)

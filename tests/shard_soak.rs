@@ -51,10 +51,7 @@ fn soak_1024_producers_across_4_shards() {
                 Arc::new(TcpBackend::with_config(
                     ingest.clone(),
                     format!("shard-soak-{}", wave * WAVE_SIZE + i),
-                    TcpBackendConfig {
-                        flush_interval: Duration::from_millis(2),
-                        ..TcpBackendConfig::default()
-                    },
+                    TcpBackendConfig::default(),
                 ))
             })
             .collect();

@@ -1,6 +1,6 @@
 //! Collector ingest benchmarks: end-to-end beats/second through the
 //! sharded event-driven reactor across a connections × io_threads matrix,
-//! plus the batched vs. per-beat `TcpBackend` framing comparison.
+//! plus batched `TcpBackend` flushing at 64 connections.
 //!
 //! Each iteration enqueues a burst of beats into every producer's
 //! `TcpBackend` and waits until the collector has accounted for them all,
@@ -40,7 +40,7 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(connections: usize, io_threads: usize, frame_per_beat: bool) -> Rig {
+    fn new(connections: usize, io_threads: usize) -> Rig {
         let collector = Collector::with_config(
             "127.0.0.1:0",
             "127.0.0.1:0",
@@ -58,7 +58,6 @@ impl Rig {
                     format!("bench-{i}"),
                     TcpBackendConfig {
                         queue_capacity: 1 << 16,
-                        frame_per_beat,
                         ..TcpBackendConfig::default()
                     },
                 ))
@@ -111,7 +110,7 @@ fn bench_ingest(c: &mut Criterion) {
     let io_threads: &[usize] = if smoke() { &[1, 4] } else { &[1, 2, 4] };
     for &conns in connections {
         for &threads in io_threads {
-            let mut rig = Rig::new(conns, threads, false);
+            let mut rig = Rig::new(conns, threads);
             group.throughput(Throughput::Elements(conns as u64 * BURST));
             group.bench_with_input(
                 BenchmarkId::from_parameter(format!("{conns}conn_{threads}shard")),
@@ -126,13 +125,13 @@ fn bench_ingest(c: &mut Criterion) {
 fn bench_flush_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("collector_flush_path");
     group.sample_size(10);
-    for (label, frame_per_beat) in [("batched_64conn", false), ("per_beat_64conn", true)] {
-        let mut rig = Rig::new(64, 2, frame_per_beat);
-        group.throughput(Throughput::Elements(64 * BURST));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
-            b.iter(|| rig.pump())
-        });
-    }
+    let mut rig = Rig::new(64, 2);
+    group.throughput(Throughput::Elements(64 * BURST));
+    group.bench_with_input(
+        BenchmarkId::from_parameter("batched_64conn"),
+        &"batched_64conn",
+        |b, _| b.iter(|| rig.pump()),
+    );
     group.finish();
 }
 

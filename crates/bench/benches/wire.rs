@@ -1,11 +1,10 @@
-//! Wire-protocol benchmarks: encode and decode throughput for heartbeat
-//! batches under both framings — fixed-width v2 and compact delta/varint
-//! v3 — plus bytes-per-beat, the CRC-32 primitive (slicing-by-8), and
-//! end-to-end collector ingest at 64 connections under each framing.
+//! Wire-protocol benchmarks: encode and decode throughput for compact
+//! heartbeat batches, bytes-per-beat, the CRC-32 primitive
+//! (slicing-by-8), and end-to-end collector ingest at 64 connections.
 //!
 //! Results are recorded in `BENCH_wire.json` at the repo root. This bench
 //! runs in CI (quick mode — the compat criterion harness measures each
-//! point for ~300 ms) so the compact path cannot silently rot.
+//! point for ~300 ms) so the beat path cannot silently rot.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,92 +38,67 @@ fn batch(n: usize) -> BeatBatch {
     }
 }
 
-fn encode_with(encoder: &mut BatchEncoder, batch: &BeatBatch, compact: bool) -> usize {
-    if compact {
-        encoder.begin_compact(batch.dropped_total);
-    } else {
-        encoder.begin(batch.dropped_total);
-    }
+fn encode_with(encoder: &mut BatchEncoder, batch: &BeatBatch) -> usize {
+    encoder.begin_compact(batch.dropped_total);
     for beat in &batch.beats {
         encoder.push(beat);
     }
     encoder.finish().len()
 }
 
-/// One frame's bytes under the chosen framing (setup for the decode
-/// benches).
-fn encode_bytes(batch: &BeatBatch, compact: bool) -> Vec<u8> {
-    let mut encoder = BatchEncoder::new();
-    if compact {
-        encoder.begin_compact(batch.dropped_total);
-    } else {
-        encoder.begin(batch.dropped_total);
-    }
-    for beat in &batch.beats {
-        encoder.push(beat);
-    }
-    encoder.finish().to_vec()
-}
-
 fn bench_encode(c: &mut Criterion) {
-    for (framing, compact) in [("v2", false), ("v3", true)] {
-        let mut group = c.benchmark_group(format!("wire_encode_{framing}"));
-        for n in [1usize, 64, 256, 1024] {
-            let data = batch(n);
-            let mut encoder = BatchEncoder::new();
-            group.throughput(Throughput::Elements(n as u64));
-            group.bench_with_input(BenchmarkId::from_parameter(n), &data, |b, data| {
-                b.iter(|| std::hint::black_box(encode_with(&mut encoder, data, compact)));
-            });
-        }
-        group.finish();
+    let mut group = c.benchmark_group("wire_encode_v3");
+    for n in [1usize, 64, 256, 1024] {
+        let data = batch(n);
+        let mut encoder = BatchEncoder::new();
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &data, |b, data| {
+            b.iter(|| std::hint::black_box(encode_with(&mut encoder, data)));
+        });
     }
+    group.finish();
 }
 
 fn bench_decode(c: &mut Criterion) {
-    for (framing, compact) in [("v2", false), ("v3", true)] {
-        let mut group = c.benchmark_group(format!("wire_decode_{framing}"));
-        for n in [1usize, 64, 256, 1024] {
-            let bytes = encode_bytes(&batch(n), compact);
-            group.throughput(Throughput::Elements(n as u64));
-            group.bench_with_input(BenchmarkId::from_parameter(n), &bytes, |b, bytes| {
-                b.iter(|| std::hint::black_box(Frame::decode(bytes).unwrap()));
-            });
-        }
-        group.finish();
+    let mut group = c.benchmark_group("wire_decode_v3");
+    for n in [1usize, 64, 256, 1024] {
+        let bytes = Frame::Beats(batch(n)).encode();
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &bytes, |b, bytes| {
+            b.iter(|| std::hint::black_box(Frame::decode(bytes).unwrap()));
+        });
     }
+    group.finish();
 }
 
 /// The zero-copy path the reactor actually runs: incremental decode to a
 /// borrowing view, iterated without materializing a Vec.
 fn bench_decode_view(c: &mut Criterion) {
-    for (framing, compact) in [("v2", false), ("v3", true)] {
-        let mut group = c.benchmark_group(format!("wire_decode_view_{framing}"));
-        for n in [64usize, 1024] {
-            let bytes = encode_bytes(&batch(n), compact);
-            let mut decoder = FrameDecoder::new();
-            group.throughput(Throughput::Elements(n as u64));
-            group.bench_with_input(BenchmarkId::from_parameter(n), &bytes, |b, bytes| {
-                b.iter(|| {
-                    decoder.push(bytes);
-                    match decoder.next_event().unwrap().unwrap() {
-                        FrameEvent::Beats(view) => {
-                            let mut acc = 0u64;
-                            for beat in view.iter() {
-                                acc = acc.wrapping_add(beat.record.timestamp_ns);
-                            }
-                            std::hint::black_box(acc)
+    let mut group = c.benchmark_group("wire_decode_view_v3");
+    for n in [64usize, 1024] {
+        let bytes = Frame::Beats(batch(n)).encode();
+        let mut decoder = FrameDecoder::new();
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &bytes, |b, bytes| {
+            b.iter(|| {
+                decoder.push(bytes);
+                match decoder.next_event().unwrap().unwrap() {
+                    FrameEvent::Beats(view) => {
+                        let mut acc = 0u64;
+                        for beat in view.iter() {
+                            acc = acc.wrapping_add(beat.record.timestamp_ns);
                         }
-                        FrameEvent::Control(_) => unreachable!(),
+                        std::hint::black_box(acc)
                     }
-                });
+                    FrameEvent::Control(_) => unreachable!(),
+                }
             });
-        }
-        group.finish();
+        });
     }
+    group.finish();
 }
 
-/// Bytes-per-beat under each framing, printed once so runs record it.
+/// Bytes-per-beat, printed once so runs record it.
 fn report_bytes_per_beat(c: &mut Criterion) {
     // Piggy-back on a trivial benchmark group so the numbers appear in
     // every bench run's output.
@@ -132,18 +106,15 @@ fn report_bytes_per_beat(c: &mut Criterion) {
     for n in [64usize, 1024] {
         let data = batch(n);
         let mut encoder = BatchEncoder::new();
-        let v2 = encode_with(&mut encoder, &data, false);
-        let v3 = encode_with(&mut encoder, &data, true);
+        let v3 = encode_with(&mut encoder, &data);
         println!(
-            "wire_bytes_per_beat/{n}: v2 {:.2} B/beat, v3 {:.2} B/beat ({:.1}% of v2)",
-            v2 as f64 / n as f64,
-            v3 as f64 / n as f64,
-            v3 as f64 * 100.0 / v2 as f64,
+            "wire_bytes_per_beat/{n}: v3 {:.2} B/beat",
+            v3 as f64 / n as f64
         );
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &data, |b, data| {
             b.iter(|| {
-                std::hint::black_box(encode_with(&mut encoder, data, true));
+                std::hint::black_box(encode_with(&mut encoder, data));
             });
         });
     }
@@ -165,7 +136,7 @@ fn bench_crc(c: &mut Criterion) {
 /// Beats pumped per connection per iteration (matches the collector bench).
 const BURST: u64 = 64;
 
-/// A collector plus `n` connected producers under the chosen framing.
+/// A collector plus `n` connected producers.
 struct Rig {
     _collector: Collector,
     state: Arc<CollectorState>,
@@ -174,7 +145,7 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(connections: usize, prefer_compact: bool) -> Rig {
+    fn new(connections: usize) -> Rig {
         let collector =
             Collector::with_config("127.0.0.1:0", "127.0.0.1:0", CollectorConfig::default())
                 .expect("bind collector");
@@ -186,7 +157,6 @@ impl Rig {
                     format!("bench-{i}"),
                     TcpBackendConfig {
                         queue_capacity: 1 << 16,
-                        prefer_compact,
                         ..TcpBackendConfig::default()
                     },
                 ))
@@ -232,18 +202,17 @@ impl Rig {
     }
 }
 
-/// End-to-end collector ingest at 64 connections: v2 vs v3 framing over
-/// the same reactor, queue, and registry.
+/// End-to-end collector ingest at 64 connections.
 fn bench_ingest_framing(c: &mut Criterion) {
     let mut group = c.benchmark_group("collector_ingest_framing");
     group.sample_size(10);
-    for (label, prefer_compact) in [("v2_64conn", false), ("v3_64conn", true)] {
-        let mut rig = Rig::new(64, prefer_compact);
-        group.throughput(Throughput::Elements(64 * BURST));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &label, |b, _| {
-            b.iter(|| rig.pump())
-        });
-    }
+    let mut rig = Rig::new(64);
+    group.throughput(Throughput::Elements(64 * BURST));
+    group.bench_with_input(
+        BenchmarkId::from_parameter("v3_64conn"),
+        &"v3_64conn",
+        |b, _| b.iter(|| rig.pump()),
+    );
     group.finish();
 }
 

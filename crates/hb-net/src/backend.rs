@@ -8,13 +8,14 @@
 //! backend sheds the *oldest* queued beats, counting every loss — the
 //! freshest telemetry is the most valuable, and the producer never stalls.
 //!
-//! On every (re)connect the flusher sends its hello and then briefly waits
-//! for the collector's [`Frame::HelloAck`]. A version-3 ack switches the
-//! connection to **compact beat framing** (delta/varint records, ~5 bytes
-//! per beat instead of 29); no ack within
-//! [`TcpBackendConfig::negotiate_timeout`] means an old collector, and the
-//! flusher stays on the universally accepted version-2 encoding. The
-//! outcome is visible via [`TcpBackend::negotiated_compact`].
+//! On every (re)connect the flusher sends its hello and reads the
+//! collector's [`Frame::HelloAck`] before shipping anything. An ack naming
+//! [`wire::VERSION`] opens the connection. An ack naming any other version,
+//! or no ack within two seconds, is a failed connect: the flusher
+//! retries after the backoff, counting the beats it sheds meanwhile, as for
+//! any other failed connect. Reading the ack also keeps it from sitting
+//! unread in the receive buffer, where it would turn the eventual close
+//! into a reset that can discard beats still in flight.
 
 use std::collections::VecDeque;
 use std::io::Read;
@@ -26,7 +27,11 @@ use std::time::{Duration, Instant};
 use heartbeats::{Backend, BackendStats, BeatScope, HeartbeatRecord};
 
 use crate::frame::{FrameDecoder, FrameWriter};
-use crate::wire::{self, BatchEncoder, Frame, Hello, WireBeat, MAX_BATCH_BEATS};
+use crate::wire::{self, BatchEncoder, Frame, Hello, WireBeat};
+
+/// The longest a socket write may block, and the longest the flusher waits
+/// for the collector's [`Frame::HelloAck`] after sending its hello.
+const SOCKET_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Tuning knobs for a [`TcpBackend`].
 #[derive(Debug, Clone)]
@@ -34,7 +39,9 @@ pub struct TcpBackendConfig {
     /// Maximum beats buffered while the collector is unreachable or slow;
     /// beyond this the oldest queued beat is shed (and counted).
     pub queue_capacity: usize,
-    /// Maximum records shipped per [`Frame::Beats`].
+    /// Maximum beats drained from the queue per flush. A flush ships as one
+    /// [`Frame::Beats`] unless its records overflow a frame, in which case
+    /// it continues in another.
     pub batch_max: usize,
     /// Delay between reconnection attempts while the collector is down.
     pub reconnect_backoff: Duration,
@@ -43,21 +50,6 @@ pub struct TcpBackendConfig {
     pub default_window: u32,
     /// Process id advertised in the hello frame.
     pub pid: u32,
-    /// Diagnostic/benchmark mode: ship one [`Frame::Beats`] per beat
-    /// instead of coalescing a whole flush into one frame. The batched path
-    /// (`false`, the default) amortizes the 14-byte header, the CRC pass
-    /// and the syscall over every beat drained per flush.
-    pub frame_per_beat: bool,
-    /// Negotiate compact (version-3, delta/varint) beat framing when the
-    /// collector acknowledges support (the default). `false` pins the
-    /// connection to the fixed-width version-2 encoding — a diagnostic
-    /// escape hatch and the benchmark baseline.
-    pub prefer_compact: bool,
-    /// How long to wait for the collector's [`Frame::HelloAck`] after each
-    /// (re)connect before concluding the peer predates version 3 and
-    /// falling back to version-2 framing. Paid once per connection
-    /// establishment, and only against collectors that never answer.
-    pub negotiate_timeout: Duration,
 }
 
 impl Default for TcpBackendConfig {
@@ -68,9 +60,6 @@ impl Default for TcpBackendConfig {
             reconnect_backoff: Duration::from_millis(100),
             default_window: heartbeats::DEFAULT_WINDOW as u32,
             pid: std::process::id(),
-            frame_per_beat: false,
-            prefer_compact: true,
-            negotiate_timeout: Duration::from_millis(100),
         }
     }
 }
@@ -99,8 +88,6 @@ struct Shared {
     dropped: AtomicU64,
     sent: AtomicU64,
     connected: AtomicBool,
-    /// True while the live connection negotiated compact (v3) framing.
-    compact: AtomicBool,
 }
 
 /// A [`Backend`] that ships heartbeats to an `hb-collector` over TCP.
@@ -148,8 +135,7 @@ impl TcpBackend {
     ///
     /// The application name is sanitized to the wire's rules (no
     /// whitespace/control/quote characters, bounded length) and
-    /// `batch_max` is clamped so every batch fits one frame — otherwise a
-    /// collector would reject the stream on every connect.
+    /// `batch_max` is raised to at least 1.
     pub fn with_config(
         addr: impl Into<String>,
         app: impl Into<String>,
@@ -157,7 +143,7 @@ impl TcpBackend {
     ) -> Self {
         let addr = addr.into();
         let app = wire::sanitize_app_name(&app.into());
-        config.batch_max = config.batch_max.clamp(1, MAX_BATCH_BEATS);
+        config.batch_max = config.batch_max.max(1);
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
                 queue: VecDeque::with_capacity(config.queue_capacity.min(1 << 16)),
@@ -171,7 +157,6 @@ impl TcpBackend {
             dropped: AtomicU64::new(0),
             sent: AtomicU64::new(0),
             connected: AtomicBool::new(false),
-            compact: AtomicBool::new(false),
         });
         let flusher = {
             let shared = Arc::clone(&shared);
@@ -206,14 +191,6 @@ impl TcpBackend {
     /// Whether the flusher currently holds a live connection.
     pub fn is_connected(&self) -> bool {
         self.shared.connected.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
-    }
-
-    /// Whether the live connection negotiated compact (version-3) beat
-    /// framing. `false` while disconnected, when
-    /// [`TcpBackendConfig::prefer_compact`] is off, or when the collector
-    /// never acknowledged version 3 (an old peer — the v2 fallback).
-    pub fn negotiated_compact(&self) -> bool {
-        self.shared.compact.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
     }
 
     /// Beats currently waiting in the queue.
@@ -335,7 +312,6 @@ fn collect_work(
 
 fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfig) {
     let mut connection: Option<FrameWriter<TcpStream>> = None;
-    let mut compact = false;
     let mut last_attempt: Option<Instant> = None;
     let mut encoder = BatchEncoder::new();
     let mut beats = VecDeque::new();
@@ -353,10 +329,7 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
                 .unwrap_or(true);
             if due {
                 last_attempt = Some(Instant::now());
-                (connection, compact) = match try_connect(addr, app, config) {
-                    Some((writer, compact)) => (Some(writer), compact),
-                    None => (None, false),
-                };
+                connection = try_connect(addr, app, config);
                 if connection.is_some() {
                     // Re-announce the goal after every (re)connect.
                     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -367,7 +340,6 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
                 shared
                     .connected
                     .store(connection.is_some(), Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
-                shared.compact.store(compact, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
             }
         }
 
@@ -394,7 +366,7 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
         };
 
         let sent_len = beats.len() as u64;
-        let result = ship(writer, &mut encoder, &beats, target, config, shared, compact);
+        let result = ship(writer, &mut encoder, &beats, target, shared);
         match result {
             Ok(()) => {
                 shared.sent.fetch_add(sent_len, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
@@ -405,7 +377,6 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
                 shared.dropped.fetch_add(sent_len, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
                 connection = None;
                 shared.connected.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
-                shared.compact.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
             }
         }
     }
@@ -422,23 +393,14 @@ fn flusher_loop(shared: &Shared, addr: &str, app: &str, config: &TcpBackendConfi
         shared.dropped.fetch_add(remaining, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
     }
     shared.connected.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
-    shared.compact.store(false, Ordering::Relaxed); // ordering: advisory flag/stat; no payload is published with it
 }
 
-/// Connects, sends the hello, and — when compact framing is preferred —
-/// waits briefly for the collector's [`Frame::HelloAck`]. Returns the
-/// writer plus whether the connection negotiated compact (version-3)
-/// framing.
-fn try_connect(
-    addr: &str,
-    app: &str,
-    config: &TcpBackendConfig,
-) -> Option<(FrameWriter<TcpStream>, bool)> {
+/// Connects, sends the hello and completes the handshake. `None` is a
+/// failed connect.
+fn try_connect(addr: &str, app: &str, config: &TcpBackendConfig) -> Option<FrameWriter<TcpStream>> {
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_nodelay(true).ok();
-    stream
-        .set_write_timeout(Some(Duration::from_secs(2)))
-        .ok();
+    stream.set_write_timeout(Some(SOCKET_TIMEOUT)).ok();
     let mut writer = FrameWriter::new(stream);
     writer
         .write_frame(&Frame::Hello(Hello {
@@ -448,104 +410,74 @@ fn try_connect(
         }))
         .ok()?;
     writer.flush().ok()?;
-    let compact = config.prefer_compact && negotiate_compact(writer.get_ref(), config);
-    Some((writer, compact))
+    read_hello_ack(writer.get_ref()).then_some(writer)
 }
 
-/// Reads the collector's hello acknowledgment off the freshly connected
-/// ingest socket, bounded by [`TcpBackendConfig::negotiate_timeout`]. Old
-/// collectors never write on this socket, so the timeout (or any read
-/// error, EOF, or unexpected frame) means "assume version 2".
-fn negotiate_compact(stream: &TcpStream, config: &TcpBackendConfig) -> bool {
-    let timeout = config.negotiate_timeout.max(Duration::from_millis(1));
-    if stream.set_read_timeout(Some(timeout)).is_err() {
-        return false;
-    }
-    let deadline = Instant::now() + timeout;
+/// Reads the collector's answer to the hello: true only for a
+/// [`Frame::HelloAck`] naming [`wire::VERSION`] that arrives within
+/// [`SOCKET_TIMEOUT`]. A different version, any other frame, a decode
+/// error, EOF or the deadline all mean the connect failed.
+fn read_hello_ack(stream: &TcpStream) -> bool {
+    let deadline = Instant::now() + SOCKET_TIMEOUT;
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 64];
     let mut reader = stream;
-    let compact = loop {
+    let accepted = loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break false;
+        }
         match reader.read(&mut buf) {
-            Ok(0) => break false, // collector hung up
+            Ok(0) => break false,
             Ok(n) => {
                 decoder.push(&buf[..n]);
                 match decoder.next_frame() {
+                    Ok(None) => {}
                     Ok(Some(Frame::HelloAck { max_version })) => {
-                        break max_version >= 3;
+                        break max_version == wire::VERSION
                     }
-                    Ok(Some(_)) => break false, // not a hello-ack: old/odd peer
-                    Ok(None) => {
-                        if Instant::now() >= deadline {
-                            break false;
-                        }
-                    }
-                    Err(_) => break false,
+                    Ok(Some(_)) | Err(_) => break false,
                 }
             }
-            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {
-                if Instant::now() >= deadline {
-                    break false;
-                }
-            }
-            Err(_) => break false, // timeout (WouldBlock/TimedOut) or dead link
+            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break false,
         }
     };
-    // The flusher never reads again; restore the blocking default anyway so
-    // the socket's behavior is unsurprising to future code.
+    // The flusher never reads again; restore the blocking default so the
+    // socket's behavior is unsurprising to future code.
     stream.set_read_timeout(None).ok();
-    compact
+    accepted
 }
 
-/// Ships one drained flush: an optional target frame plus the beats —
-/// coalesced into a single beats frame by the streaming [`BatchEncoder`]
-/// (compact version-3 framing when the connection negotiated it, else the
-/// fixed-width version-2 encoding), or framed one beat at a time when
-/// [`TcpBackendConfig::frame_per_beat`] asks for the diagnostic path.
-#[allow(clippy::too_many_arguments)]
+/// Ships one drained flush: an optional target frame plus the beats,
+/// coalesced by the streaming [`BatchEncoder`] into one beats frame (or
+/// more, if the records overflow one).
 fn ship(
     writer: &mut FrameWriter<TcpStream>,
     encoder: &mut BatchEncoder,
     beats: &VecDeque<WireBeat>,
     target: Option<(f64, f64)>,
-    config: &TcpBackendConfig,
     shared: &Shared,
-    compact: bool,
 ) -> crate::error::Result<()> {
-    let begin = |encoder: &mut BatchEncoder, dropped_total: u64| {
-        if compact {
-            encoder.begin_compact(dropped_total);
-        } else {
-            encoder.begin(dropped_total);
-        }
-    };
     if let Some((min_bps, max_bps)) = target {
         writer.write_frame(&Frame::Target { min_bps, max_bps })?;
     }
     if !beats.is_empty() {
         let dropped_total = shared.dropped.load(Ordering::Relaxed); // ordering: drop total piggybacks on the batch frame; cross-thread exactness is not required
-        if config.frame_per_beat {
-            for beat in beats {
-                begin(encoder, dropped_total);
-                encoder.push(beat);
+        encoder.begin_compact(dropped_total);
+        for beat in beats {
+            if !encoder.push(beat) {
+                // The frame filled mid-flush (only possible when the
+                // records are near their varint worst case): seal and ship
+                // it, then continue in a fresh frame — no beat is ever
+                // silently lost to the frame bound.
                 writer.write_encoded(encoder.finish())?;
+                encoder.begin_compact(dropped_total);
+                let pushed = encoder.push(beat);
+                debug_assert!(pushed, "an empty frame must accept a record");
             }
-        } else {
-            begin(encoder, dropped_total);
-            for beat in beats {
-                if !encoder.push(beat) {
-                    // The frame filled mid-flush (only possible when every
-                    // compact record is near its varint worst case): seal
-                    // and ship it, then continue in a fresh frame — no beat
-                    // is ever silently lost to the frame bound.
-                    writer.write_encoded(encoder.finish())?;
-                    begin(encoder, dropped_total);
-                    let pushed = encoder.push(beat);
-                    debug_assert!(pushed, "an empty frame must accept a record");
-                }
-            }
-            writer.write_encoded(encoder.finish())?;
         }
+        writer.write_encoded(encoder.finish())?;
     }
     writer.flush()
 }
@@ -625,6 +557,80 @@ mod tests {
         drop(backend);
         assert_eq!(shared.dropped.load(Ordering::Relaxed), 100);
         assert!(shared.inner.lock().unwrap().queue.is_empty());
+    }
+
+    /// Runs a backend against a raw listener that reads each hello and
+    /// then answers with `HelloAck { max_version }`, or never answers when
+    /// `answer` is `None`. The handshake must fail: no frame follows the
+    /// hello, the backend never reports a connection, and every queued beat
+    /// is counted as dropped.
+    fn assert_handshake_refused(answer: Option<u8>) {
+        use crate::frame::FrameReader;
+        use std::io::Write;
+
+        const BEATS: u64 = 100;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let after_hello = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&after_hello);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(mut stream) = stream else { break };
+                let seen = Arc::clone(&seen);
+                std::thread::spawn(move || {
+                    let mut reader = FrameReader::new(stream.try_clone().unwrap());
+                    assert!(matches!(reader.read_frame(), Ok(Some(Frame::Hello(_)))));
+                    if let Some(max_version) = answer {
+                        stream
+                            .write_all(&Frame::HelloAck { max_version }.encode())
+                            .unwrap();
+                    }
+                    while let Ok(Some(frame)) = reader.read_frame() {
+                        seen.lock().unwrap().push(frame);
+                    }
+                });
+            }
+        });
+
+        let backend = TcpBackend::with_config(
+            addr.to_string(),
+            "refused",
+            TcpBackendConfig {
+                reconnect_backoff: Duration::from_millis(10),
+                ..TcpBackendConfig::default()
+            },
+        );
+        for i in 0..BEATS {
+            backend.on_beat("refused", &record(i), BeatScope::Global);
+        }
+        let deadline = Instant::now() + 4 * SOCKET_TIMEOUT;
+        while backend.dropped_beats() < BEATS {
+            assert!(
+                !backend.is_connected(),
+                "a refused handshake must not connect"
+            );
+            assert!(
+                Instant::now() < deadline,
+                "dropped only {}",
+                backend.dropped_beats()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!backend.is_connected());
+        assert_eq!(backend.dropped_beats(), BEATS);
+        assert_eq!(backend.sent(), 0);
+        drop(backend);
+        assert_eq!(*after_hello.lock().unwrap(), Vec::<Frame>::new());
+    }
+
+    #[test]
+    fn hello_ack_with_another_version_is_a_failed_connect() {
+        assert_handshake_refused(Some(2));
+    }
+
+    #[test]
+    fn missing_hello_ack_is_a_failed_connect() {
+        assert_handshake_refused(None);
     }
 
     #[test]

@@ -460,9 +460,8 @@ impl RemoteReader {
         outcome
     }
 
-    /// Upgrades the connection to demux mode (idempotent): probes the
-    /// collector's protocol version, spawns the demux thread, and switches
-    /// the synchronous path onto the forwarding pipe.
+    /// Upgrades the connection to demux mode (idempotent): spawns the demux
+    /// thread and switches the synchronous path onto the forwarding pipe.
     fn ensure_demux(&self) -> Result<Arc<DemuxShared>> {
         let mut demux_guard = self.demux.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(demux) = demux_guard.as_ref() {
@@ -472,55 +471,7 @@ impl RemoteReader {
         }
         let stream = TcpStream::connect(&self.addr)?;
         stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(REPLY_TIMEOUT)).ok();
         stream.set_write_timeout(Some(REPLY_TIMEOUT)).ok();
-        // Version negotiation before anything is multiplexed: a collector
-        // that predates the subscription protocol would never acknowledge a
-        // Subscribe frame, so refuse loudly here instead of hanging there.
-        // Pre-subscription collectors answer the VERSION probe with an ERR
-        // line (every line command gets *some* single-line answer).
-        (&stream).write_all(b"VERSION\n")?;
-        let mut line = Vec::new();
-        let mut byte = [0u8; 1];
-        loop {
-            match (&stream).read(&mut byte) {
-                Ok(0) => return Err(NetError::UnexpectedEof),
-                Ok(_) => {
-                    if byte[0] == b'\n' {
-                        break;
-                    }
-                    line.push(byte[0]);
-                    if line.len() > 256 {
-                        return Err(NetError::BadResponse(
-                            "oversized VERSION reply".into(),
-                        ));
-                    }
-                }
-                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(err) => return Err(NetError::Io(err)),
-            }
-        }
-        let text = String::from_utf8_lossy(&line);
-        let version = text
-            .trim()
-            .strip_prefix("VERSION ")
-            .and_then(|v| v.trim().parse::<u8>().ok());
-        match version {
-            Some(v) if v >= 3 => {}
-            Some(v) => {
-                return Err(NetError::Unsupported(format!(
-                    "collector speaks wire version {v}; push subscriptions require version >= 3"
-                )))
-            }
-            None => {
-                return Err(NetError::Unsupported(format!(
-                    "collector does not understand VERSION (answered {:?}); push \
-                     subscriptions require a version >= 3 collector",
-                    text.trim()
-                )))
-            }
-        }
-        stream.set_read_timeout(None).ok();
         let pipe = Arc::new(BytePipe::default());
         let shared = Arc::new(DemuxShared {
             pipe: Arc::clone(&pipe),
@@ -558,10 +509,6 @@ impl RemoteReader {
     ///
     /// `pattern` selects applications by glob
     /// ([`glob_match`](crate::wire::glob_match): `*` wildcards).
-    ///
-    /// Fails with [`NetError::Unsupported`] against a collector whose
-    /// negotiated wire version predates subscriptions (< 3) — detected up
-    /// front, never by hanging on a `Subscribe` no one will acknowledge.
     pub fn subscribe(
         self: &Arc<Self>,
         pattern: &str,

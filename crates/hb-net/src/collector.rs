@@ -27,9 +27,8 @@
 //! per-frame allocation — and absorbed under a single shard lock resolved
 //! once per connection (an [`AppHandle`] cached at hello time), so observer
 //! queries always see per-application counts at batch granularity. The
-//! collector answers every hello with a [`Frame::HelloAck`] advertising
-//! protocol version 3, which lets capable producers switch to the compact
-//! delta/varint beat framing (~5 bytes per beat instead of 29).
+//! collector answers every hello with a [`Frame::HelloAck`] naming its
+//! wire version; producers ship beats only after reading it.
 //!
 //! Beyond live aggregates, every ingested global beat is also sampled into
 //! a bounded per-application [`HistoryRing`] (preallocated; zero allocation
@@ -2336,9 +2335,8 @@ impl Handler for ProducerHandler {
                             );
                             self.home = Some(self.state.home_reactor_shard(&handle));
                             self.app = Some(handle);
-                            // Advertise our maximum version so capable
-                            // producers switch to compact framing; old ones
-                            // never read the ingest socket and lose nothing.
+                            // Completes the producer's handshake: it ships
+                            // beats only after an ack naming VERSION.
                             Frame::HelloAck {
                                 max_version: VERSION,
                             }
@@ -2915,8 +2913,8 @@ fn handle_query_inner(
 ) -> io::Result<bool> {
     let mut parts = line.split_whitespace();
     let command = parts.next();
-    // VERSION is subscription negotiation, not an observation poll; it must
-    // not disturb the "zero requests while pushed" accounting.
+    // VERSION is a diagnostic, not an observation poll; it must not disturb
+    // the "zero requests while pushed" accounting.
     if command.is_some() && command != Some("VERSION") {
         state.queries_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
     }
@@ -2927,9 +2925,6 @@ fn handle_query_inner(
             Ok(true)
         }
         Some("VERSION") => {
-            // Lets observers negotiate before subscribing: collectors that
-            // predate this command answer `ERR unknown command`, telling the
-            // client not to send a Subscribe it would never ack.
             writeln!(out, "VERSION {}", VERSION)?;
             Ok(true)
         }
@@ -3666,7 +3661,7 @@ mod tests {
         })
         .encode_into(&mut input);
         let mut encoder = crate::wire::BatchEncoder::new();
-        encoder.begin(0);
+        encoder.begin_compact(0);
         encoder.push(&WireBeat {
             record: heartbeats::HeartbeatRecord::new(
                 0,

@@ -16,9 +16,8 @@ pub enum NetError {
     UnexpectedEof,
     /// A query-port response could not be interpreted.
     BadResponse(String),
-    /// The peer cannot provide the requested operation — e.g. subscribing
-    /// through a collector that negotiated a wire version older than 3,
-    /// which would never acknowledge a `Subscribe` frame.
+    /// The peer cannot provide the requested operation — e.g. a collector
+    /// whose per-connection subscription bound is reached.
     Unsupported(String),
 }
 
@@ -62,9 +61,9 @@ mod tests {
             .to_string()
             .contains("bad magic"));
         assert!(NetError::UnexpectedEof.to_string().contains("mid-frame"));
-        assert!(NetError::Unsupported("v2 collector".into())
+        assert!(NetError::Unsupported("subscription bound".into())
             .to_string()
-            .contains("v2 collector"));
+            .contains("subscription bound"));
         let io_err: NetError = io::Error::new(io::ErrorKind::ConnectionRefused, "nope").into();
         assert!(io_err.to_string().contains("nope"));
         assert!(std::error::Error::source(&io_err).is_some());

@@ -471,7 +471,8 @@ mod tests {
             default_window: 20,
         })
         .encode_into(&mut wire);
-        // One fixed-width and one compact batch of the same records.
+        // The same records through both encoding paths: Frame::encode and
+        // the streaming BatchEncoder.
         Frame::Beats(BeatBatch {
             dropped_total: 5,
             beats: beats.clone(),
@@ -500,7 +501,7 @@ mod tests {
                     Some(FrameEvent::Control(other)) => panic!("unexpected {other:?}"),
                     Some(FrameEvent::Beats(view)) => {
                         let collected: Vec<WireBeat> = view.iter().collect();
-                        batches.push((view.dropped_total(), view.is_compact(), collected));
+                        batches.push((view.dropped_total(), collected));
                     }
                     None => break,
                 }
@@ -509,8 +510,8 @@ mod tests {
         assert_eq!(hellos, 1);
         assert_eq!(byes, 1);
         assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0], (5, false, beats.clone()));
-        assert_eq!(batches[1], (6, true, beats));
+        assert_eq!(batches[0], (5, beats.clone()));
+        assert_eq!(batches[1], (6, beats));
         assert!(!decoder.has_partial());
     }
 

@@ -8,9 +8,8 @@
 //!
 //! * [`wire`] — a compact, versioned binary wire protocol (length-prefixed,
 //!   CRC-checked frames) for heartbeat batches, target-rate changes and
-//!   application hello/goodbye. Batches ship either as fixed 29-byte
-//!   records (v2) or, negotiated per connection, as delta/varint **compact
-//!   records** (v3, ~5–7 bytes per beat); both decode through the
+//!   application hello/goodbye. Batches ship as delta/varint **compact
+//!   records** (~5–7 bytes per beat) and decode through the
 //!   zero-allocation [`wire::BeatsView`] iterator.
 //! * [`frame`] — frame readers/writers over any `Read`/`Write` transport,
 //!   plus the incremental decoder whose [`frame::FrameEvent`]s borrow beat

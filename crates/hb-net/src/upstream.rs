@@ -389,8 +389,7 @@ impl UpstreamLink {
         *self.path.lock().unwrap_or_else(|e| e.into_inner()) = path;
     }
 
-    /// The child's announced downstream path (empty when disconnected or
-    /// the child predates path vectors).
+    /// The child's announced downstream path (empty when disconnected).
     pub(crate) fn announced_path(&self) -> Vec<String> {
         self.path.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }

@@ -8,7 +8,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        0x48425754 ("HBWT")
-//! 4       1     version      currently 1
+//! 4       1     version      VERSION (3); any other value is rejected
 //! 5       1     kind         frame type discriminant
 //! 6       4     payload_len  bytes following the header (<= MAX_PAYLOAD)
 //! 10      4     crc32        IEEE CRC-32 of the payload bytes
@@ -17,48 +17,42 @@
 //!
 //! The magic and version let a receiver reject foreign or future streams
 //! immediately; the length prefix makes framing O(1); the CRC rejects
-//! corruption and desynchronization deterministically. Version-2 beat
-//! records use a fixed 29-byte encoding decodable with plain offset
-//! arithmetic; version-3 **compact** beat records delta/varint-encode the
-//! monotone fields (LEB128 sequence deltas, zigzag timestamp deltas, tag
-//! elided when [`Tag::NONE`], scope packed into a per-record flag byte) so
-//! a steady heartbeat stream costs ~5 bytes per beat instead of 29. Both
-//! encodings decode without per-record allocation through the borrowing
-//! [`BeatsView`] iterator.
+//! corruption and desynchronization deterministically. Beat records use a
+//! **compact** encoding that delta/varint-encodes the monotone fields
+//! (LEB128 sequence deltas, zigzag timestamp deltas, tag elided when
+//! [`Tag::NONE`], scope packed into a per-record flag byte), so a steady
+//! heartbeat stream costs ~6 bytes per beat. Batches decode without
+//! per-record allocation through the borrowing [`BeatsView`] iterator.
 //!
 //! ## Versioning
 //!
-//! Each frame carries the **lowest** protocol version that defines its kind
-//! ([`wire_version`]): the original producer frames (kinds 1–4) encode as
-//! version 1, the health query frames (kinds 5–8) as version 2, and the
-//! compact-framing extension (kinds 9–10) as version 3. A decoder accepts
-//! any version in `MIN_VERSION..=VERSION` and rejects a kind its claimed
-//! version does not define, so a version-1-only peer keeps interoperating
-//! with everything it understands while newer frames fail fast instead of
-//! being misparsed. Compact framing is *negotiated per connection*: the
-//! collector answers every [`Frame::Hello`] with a [`Frame::HelloAck`]
-//! advertising its maximum version, and a producer only switches to compact
-//! beats after seeing `max_version >= 3` — against an old collector (which
-//! never writes on the ingest socket) the ack never arrives and the
-//! producer stays on the version-2 encoding. See `docs/WIRE.md` for the
-//! byte-level specification with worked examples.
+//! There is one wire version, [`VERSION`]. Every frame carries it in its
+//! header and a decoder rejects any other value, so a peer speaking a
+//! retired (1, 2) or future version fails fast instead of being misparsed.
+//! The collector answers every [`Frame::Hello`] with a [`Frame::HelloAck`]
+//! naming its version; a producer ships beats only after an ack naming
+//! [`VERSION`]. See `docs/WIRE.md` for the byte-level specification with
+//! worked examples.
 //!
 //! ## Frame kinds
 //!
-//! Producer → collector (version 1):
+//! Producer ⇄ collector, on the ingest port:
 //!
 //! * [`Frame::Hello`] — sent once per connection: application identity plus
 //!   its default rate window, so the collector can size its server-side
 //!   [`MovingRate`](heartbeats::MovingRate).
-//! * [`Frame::Beats`] — a batch of heartbeat records plus the producer-side
-//!   drop counter (beats shed under backpressure), so observers can
-//!   distinguish "slow app" from "slow network".
+//! * [`Frame::HelloAck`] — collector → producer, in response to a hello:
+//!   names the collector's protocol version.
+//! * [`Frame::Beats`] — a batch of compact heartbeat records plus the
+//!   producer-side drop counter (beats shed under backpressure), so
+//!   observers can distinguish "slow app" from "slow network"; produced
+//!   allocation-free by [`BatchEncoder`].
 //! * [`Frame::Target`] — the application changed its declared heart-rate
 //!   goal (`HB_set_target_rate`).
 //! * [`Frame::Bye`] — orderly goodbye; the collector marks the app
 //!   disconnected rather than waiting for staleness.
 //!
-//! Observer ⇄ collector, on the query port (version 2):
+//! Observer ⇄ collector, on the query port:
 //!
 //! * [`Frame::HistoryReq`] / [`Frame::History`] — ask for / return the
 //!   collector's bounded history ring for one application
@@ -66,16 +60,7 @@
 //! * [`Frame::HealthReq`] / [`Frame::Health`] — ask for / return the
 //!   windowed anomaly classification ([`HealthReport`]).
 //!
-//! Compact framing (version 3):
-//!
-//! * [`Frame::HelloAck`] — collector → producer, in response to a hello:
-//!   advertises the collector's maximum protocol version so the producer
-//!   can switch to compact beats.
-//! * Compact beats (kind 10) — the delta/varint encoding of a beat batch;
-//!   decodes to the same [`Frame::Beats`] as the fixed-width kind, and is
-//!   produced by [`BatchEncoder::begin_compact`].
-//!
-//! Push subscriptions, on the query port (version 3):
+//! Push subscriptions, on the query port:
 //!
 //! * [`Frame::Subscribe`] / [`Frame::SubAck`] — open a push subscription
 //!   (application glob, interest mask, minimum update interval) /
@@ -95,11 +80,9 @@ use crate::health::{HealthReason, HealthReport, HealthStatus, HistorySample};
 /// Frame magic: `HBWT` interpreted as a little-endian u32.
 pub const MAGIC: u32 = 0x5457_4248;
 
-/// Current protocol version (compact beat framing + hello acknowledgment).
+/// The protocol version: stamped into every frame header, and the only
+/// version a decoder accepts. Versions 1 and 2 are retired.
 pub const VERSION: u8 = 3;
-
-/// Oldest protocol version still accepted (the original producer frames).
-pub const MIN_VERSION: u8 = 1;
 
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 14;
@@ -107,19 +90,7 @@ pub const HEADER_LEN: usize = 14;
 /// Upper bound on a frame payload; anything larger is a protocol violation.
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
-/// Encoded size of one beat record inside a version-2 [`Frame::Beats`]
-/// payload.
-pub const BEAT_LEN: usize = 29;
-
-/// Fixed prefix of a version-2 [`Frame::Beats`] payload (`dropped_total` +
-/// count).
-pub const BATCH_PREFIX_LEN: usize = 12;
-
-/// Most beat records a single version-2 [`Frame::Beats`] can carry within
-/// [`MAX_PAYLOAD`].
-pub const MAX_BATCH_BEATS: usize = (MAX_PAYLOAD - BATCH_PREFIX_LEN) / BEAT_LEN;
-
-/// Worst-case encoded size of one compact (version-3) beat record: flag
+/// Worst-case encoded size of one compact beat record: flag
 /// byte + 10-byte seq varint + 10-byte timestamp varint + 10-byte tag
 /// varint + 5-byte thread varint. Typical records are 4–7 bytes; the bound
 /// only gates [`BatchEncoder`] capacity checks.
@@ -144,7 +115,7 @@ pub const SAMPLE_LEN: usize = 40;
 pub const MAX_HISTORY_SAMPLES: usize = (MAX_PAYLOAD - 15 - MAX_NAME_LEN) / SAMPLE_LEN;
 
 const KIND_HELLO: u8 = 1;
-const KIND_BEATS: u8 = 2;
+// Kind 2 (fixed-width beats) is retired and reserved: never reuse it.
 const KIND_TARGET: u8 = 3;
 const KIND_BYE: u8 = 4;
 const KIND_HISTORY_REQ: u8 = 5;
@@ -152,7 +123,7 @@ const KIND_HISTORY: u8 = 6;
 const KIND_HEALTH_REQ: u8 = 7;
 const KIND_HEALTH: u8 = 8;
 const KIND_HELLO_ACK: u8 = 9;
-const KIND_BEATS_COMPACT: u8 = 10;
+const KIND_BEATS: u8 = 10;
 const KIND_SUBSCRIBE: u8 = 11;
 const KIND_SUB_ACK: u8 = 12;
 const KIND_EVENT: u8 = 13;
@@ -174,22 +145,15 @@ pub const MAX_PATH_NODES: usize = 64;
 /// [`Frame::NodeAuth`] handshake (the SHA-256 digest width).
 pub const AUTH_LEN: usize = 32;
 
-/// The lowest protocol version that defines `kind`, which is also the
-/// version stamped into the header when the frame is encoded. `None` if no
-/// supported version defines it.
-pub fn wire_version(kind: u8) -> Option<u8> {
-    match kind {
-        KIND_HELLO..=KIND_BYE => Some(1),
-        KIND_HISTORY_REQ..=KIND_HEALTH => Some(2),
-        KIND_HELLO_ACK..=KIND_NODE_AUTH => Some(3),
-        _ => None,
-    }
+/// True if `kind` is a defined frame kind.
+fn is_known_kind(kind: u8) -> bool {
+    matches!(kind, KIND_HELLO | KIND_TARGET..=KIND_NODE_AUTH)
 }
 
-/// True if `kind` is one of the beat-batch frame kinds (fixed-width
-/// version-2 or compact version-3) — the frames [`BeatsView`] can walk.
+/// True if `kind` is the beat-batch frame kind — the frames [`BeatsView`]
+/// can walk.
 pub fn is_beats_kind(kind: u8) -> bool {
-    kind == KIND_BEATS || kind == KIND_BEATS_COMPACT
+    kind == KIND_BEATS
 }
 
 /// True if `name` is acceptable as an application name on the wire:
@@ -396,7 +360,7 @@ pub struct SubscribeReq {
     /// after a link drop sets this to one past its last-delivered cursor;
     /// the child replays what its bounded replay ring still holds and
     /// continues the cursor sequence without a gap. Encoded as a trailing
-    /// varint; absent on the wire (frames from older peers) decodes as `0`.
+    /// varint.
     pub resume_from: u64,
 }
 
@@ -456,7 +420,7 @@ pub struct EventFrame {
 }
 
 /// The body of an [`EventFrame`]. Numeric fields are varint/delta encoded
-/// with the same machinery as compact (version-3) beat records.
+/// with the same machinery as compact beat records.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventPayload {
     /// A periodic application snapshot (interest bit `1`).
@@ -508,10 +472,9 @@ const EVENT_BEATS: u8 = 3;
 pub enum Frame {
     /// Connection preamble.
     Hello(Hello),
-    /// A batch of heartbeat records. [`encode`](Frame::encode) always emits
-    /// the fixed-width version-2 kind (the universally accepted fallback);
-    /// compact version-3 frames are produced by
-    /// [`BatchEncoder::begin_compact`] and decode to this same variant.
+    /// A batch of heartbeat records in the compact encoding. Producers on
+    /// the hot path build the same bytes allocation-free with
+    /// [`BatchEncoder`].
     Beats(BeatBatch),
     /// A target heart-rate declaration.
     Target {
@@ -539,13 +502,12 @@ pub enum Frame {
     },
     /// Response to [`Frame::HealthReq`].
     Health(HealthFrame),
-    /// Collector → producer, answering a [`Frame::Hello`]: advertises the
-    /// collector's maximum supported protocol version so the producer can
-    /// switch to compact (version-3) beat framing. Old collectors never
-    /// write on the ingest socket, so a producer that sees no ack keeps the
-    /// version-2 encoding.
+    /// Collector → producer, answering a [`Frame::Hello`]: names the
+    /// collector's protocol version. The frame decodes whatever byte it
+    /// carries; a producer treats anything but [`VERSION`] as a failed
+    /// connect.
     HelloAck {
-        /// Highest protocol version the collector accepts.
+        /// The protocol version the collector speaks.
         max_version: u8,
     },
     /// Observer → collector, on the query port: open a push subscription.
@@ -585,7 +547,6 @@ pub enum Frame {
         /// children (at most [`MAX_PATH_NODES`] entries). The parent
         /// refuses the uplink if its *own* node name appears here — that
         /// is a relay cycle, and accepting it would loop beats forever.
-        /// Absent on the wire (older peers) decodes as empty.
         path: Vec<String>,
     },
     /// Parent → child, answering a [`Frame::NodeHello`] when the parent
@@ -624,15 +585,14 @@ pub enum Frame {
     },
 }
 
-/// A borrowed, validated view of one beat-batch payload (fixed-width
-/// version-2 or compact version-3), iterable without materializing a
-/// `Vec<WireBeat>`.
+/// A borrowed, validated view of one beat-batch payload, iterable without
+/// materializing a `Vec<WireBeat>`.
 ///
 /// [`parse`](BeatsView::parse) validates the *entire* payload up front —
-/// record framing, varint bounds, flag bits, scope bytes, exact payload
-/// consumption — so iteration afterwards is infallible and allocation-free.
-/// This is the collector reactor's ingest path: frames decode in place in
-/// the receive buffer and stream straight into the registry.
+/// record framing, varint bounds, flag bits, exact payload consumption — so
+/// iteration afterwards is infallible and allocation-free. This is the
+/// collector reactor's ingest path: frames decode in place in the receive
+/// buffer and stream straight into the registry.
 ///
 /// ```
 /// use hb_net::wire::{BatchEncoder, BeatsView, Frame, WireBeat, HEADER_LEN};
@@ -657,7 +617,6 @@ pub struct BeatsView<'a> {
     /// The record region of the payload (prefix already consumed).
     records: &'a [u8],
     count: usize,
-    compact: bool,
 }
 
 impl<'a> BeatsView<'a> {
@@ -666,62 +625,30 @@ impl<'a> BeatsView<'a> {
     /// kinds and on any malformed record, so the returned view iterates
     /// infallibly.
     pub fn parse(kind: u8, payload: &'a [u8]) -> Result<BeatsView<'a>> {
-        match kind {
-            KIND_BEATS => {
-                if payload.len() < BATCH_PREFIX_LEN {
-                    return Err(NetError::Protocol("beat batch payload truncated".into()));
-                }
-                let dropped_total = read_u64(payload, 0)?;
-                let count = read_u32(payload, 8)? as usize;
-                let records = &payload[BATCH_PREFIX_LEN..]; // hb-lint: allow(index): payload.len() >= BATCH_PREFIX_LEN checked above
-                if records.len() != count * BEAT_LEN {
-                    return Err(NetError::Protocol(format!(
-                        "beat batch of {count} records should be {} bytes, got {}",
-                        BATCH_PREFIX_LEN + count * BEAT_LEN,
-                        payload.len()
-                    )));
-                }
-                // Validate every scope byte now so iteration cannot fail.
-                for i in 0..count {
-                    let scope = records[i * BEAT_LEN + BEAT_LEN - 1]; // hb-lint: allow(index): records.len() == count * BEAT_LEN checked above
-                    if scope > 1 {
-                        return Err(NetError::Protocol(format!(
-                            "invalid beat scope byte {scope}"
-                        )));
-                    }
-                }
-                Ok(BeatsView {
-                    dropped_total,
-                    records,
-                    count,
-                    compact: false,
-                })
-            }
-            KIND_BEATS_COMPACT => {
-                let (dropped_total, prefix) = get_varint(payload, 0)?;
-                let records = &payload[prefix..]; // hb-lint: allow(index): payload.len() >= prefix checked above
-                // Walk every record once: the count is implicit (the
-                // payload length delimits the batch) and the walk rejects
-                // malformed varints, unknown flags and trailing garbage.
-                let mut state = DeltaState::default();
-                let mut at = 0;
-                let mut count = 0;
-                while at < records.len() {
-                    let (_, next) = decode_compact_beat(records, at, &mut state)?;
-                    at = next;
-                    count += 1;
-                }
-                Ok(BeatsView {
-                    dropped_total,
-                    records,
-                    count,
-                    compact: true,
-                })
-            }
-            other => Err(NetError::Protocol(format!(
-                "frame kind {other} is not a beat batch"
-            ))),
+        if kind != KIND_BEATS {
+            return Err(NetError::Protocol(format!(
+                "frame kind {kind} is not a beat batch"
+            )));
         }
+        let (dropped_total, prefix) = get_varint(payload, 0)?;
+        let records = &payload[prefix..]; // hb-lint: allow(index): payload.len() >= prefix checked above
+
+        // Walk every record once: the count is implicit (the payload length
+        // delimits the batch) and the walk rejects malformed varints,
+        // unknown flags and trailing garbage.
+        let mut state = DeltaState::default();
+        let mut at = 0;
+        let mut count = 0;
+        while at < records.len() {
+            let (_, next) = decode_compact_beat(records, at, &mut state)?;
+            at = next;
+            count += 1;
+        }
+        Ok(BeatsView {
+            dropped_total,
+            records,
+            count,
+        })
     }
 
     /// The producer's cumulative drop counter carried by the batch.
@@ -740,11 +667,6 @@ impl<'a> BeatsView<'a> {
         self.count == 0
     }
 
-    /// True if the payload uses the compact (version-3) encoding.
-    pub fn is_compact(&self) -> bool {
-        self.compact
-    }
-
     /// Iterates the records in place. Infallible: the payload was fully
     /// validated by [`parse`](BeatsView::parse).
     pub fn iter(&self) -> BeatsIter<'a> {
@@ -752,7 +674,6 @@ impl<'a> BeatsView<'a> {
             records: self.records,
             at: 0,
             remaining: self.count,
-            compact: self.compact,
             state: DeltaState::default(),
         }
     }
@@ -773,7 +694,6 @@ pub struct BeatsIter<'a> {
     records: &'a [u8],
     at: usize,
     remaining: usize,
-    compact: bool,
     state: DeltaState,
 }
 
@@ -786,30 +706,12 @@ impl Iterator for BeatsIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        if self.compact {
-            // Validated by BeatsView::parse; a decode error here would be a
-            // logic bug, surfaced by ending the iteration early (the
-            // ExactSizeIterator contract is checked in tests).
-            let (beat, next) = decode_compact_beat(self.records, self.at, &mut self.state).ok()?;
-            self.at = next;
-            Some(beat)
-        } else {
-            let bytes = self.records.get(self.at..self.at + BEAT_LEN)?;
-            self.at += BEAT_LEN;
-            Some(WireBeat {
-                record: HeartbeatRecord::new(
-                    get_u64(bytes, 0)?,
-                    get_u64(bytes, 8)?,
-                    Tag::new(get_u64(bytes, 16)?),
-                    BeatThreadId(get_u32(bytes, 24)?),
-                ),
-                scope: if *bytes.get(28)? == 1 {
-                    BeatScope::Local
-                } else {
-                    BeatScope::Global
-                },
-            })
-        }
+        // Validated by BeatsView::parse; a decode error here would be a
+        // logic bug, surfaced by ending the iteration early (the
+        // ExactSizeIterator contract is checked in tests).
+        let (beat, next) = decode_compact_beat(self.records, self.at, &mut self.state).ok()?;
+        self.at = next;
+        Some(beat)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -911,7 +813,7 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Per-record flag bits of the compact (version-3) beat encoding.
+/// Per-record flag bits of the compact beat encoding.
 const FLAG_LOCAL: u8 = 0b01;
 const FLAG_TAGGED: u8 = 0b10;
 const FLAG_KNOWN: u8 = FLAG_LOCAL | FLAG_TAGGED;
@@ -998,17 +900,6 @@ fn decode_compact_beat(
         },
         at,
     ))
-}
-
-fn encode_beat(buf: &mut Vec<u8>, beat: &WireBeat) {
-    put_u64(buf, beat.record.seq);
-    put_u64(buf, beat.record.timestamp_ns);
-    put_u64(buf, beat.record.tag.value());
-    put_u32(buf, beat.record.thread.index());
-    buf.push(match beat.scope {
-        BeatScope::Global => 0,
-        BeatScope::Local => 1,
-    });
 }
 
 /// Appends a length-prefixed application name (u16 length + bytes). Names
@@ -1203,10 +1094,10 @@ impl Frame {
                 buf.extend_from_slice(name);
             }
             Frame::Beats(batch) => {
-                put_u64(buf, batch.dropped_total);
-                put_u32(buf, batch.beats.len() as u32);
+                put_varint(buf, batch.dropped_total);
+                let mut state = DeltaState::default();
                 for beat in &batch.beats {
-                    encode_beat(buf, beat);
+                    encode_compact_beat(buf, &mut state, beat);
                 }
             }
             Frame::Target { min_bps, max_bps } => {
@@ -1300,12 +1191,7 @@ impl Frame {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let header_at = buf.len();
         put_u32(buf, MAGIC);
-        // Stamp the lowest version that defines the kind, so version-1
-        // peers keep accepting every frame they understand.
-        // Every variant's kind is in the version table; fall back to the
-        // current version rather than panic if a new kind misses a row
-        // (hb-lint's wire-kind check catches the table gap itself).
-        buf.push(wire_version(self.kind()).unwrap_or(VERSION));
+        buf.push(VERSION);
         buf.push(self.kind());
         put_u32(buf, 0); // payload_len, patched below
         put_u32(buf, 0); // crc, patched below
@@ -1338,20 +1224,14 @@ impl Frame {
             return Err(NetError::Protocol(format!("bad magic {magic:#010x}")));
         }
         let version = bytes[4]; // hb-lint: allow(index): bytes.len() >= HEADER_LEN checked at entry
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(NetError::Protocol(format!(
-                "unsupported protocol version {version}"
+                "unsupported protocol version {version} (this peer speaks {VERSION})"
             )));
         }
         let kind = bytes[5]; // hb-lint: allow(index): bytes.len() >= HEADER_LEN checked at entry
-        match wire_version(kind) {
-            None => return Err(NetError::Protocol(format!("unknown frame kind {kind}"))),
-            Some(required) if version < required => {
-                return Err(NetError::Protocol(format!(
-                    "frame kind {kind} requires protocol version {required}, header claims {version}"
-                )));
-            }
-            Some(_) => {}
+        if !is_known_kind(kind) {
+            return Err(NetError::Protocol(format!("unknown frame kind {kind}")));
         }
         let payload_len = read_u32(bytes, 6)? as usize;
         if payload_len > MAX_PAYLOAD {
@@ -1420,10 +1300,10 @@ impl Frame {
                     default_window,
                 }))
             }
-            KIND_BEATS | KIND_BEATS_COMPACT => {
-                // Both beat encodings share the validated zero-copy walker;
-                // materialization here is for the blocking FrameReader path
-                // (the reactor iterates the view directly, never this Vec).
+            KIND_BEATS => {
+                // Materializes the validated zero-copy walker for the
+                // blocking FrameReader path (the reactor iterates the view
+                // directly, never this Vec).
                 let view = BeatsView::parse(kind, payload)?;
                 Ok(Frame::Beats(BeatBatch {
                     dropped_total: view.dropped_total(),
@@ -1532,12 +1412,9 @@ impl Frame {
                         payload.len()
                     )));
                 }
+                // Any byte decodes: judging the version is the producer
+                // handshake's job, not the codec's.
                 let max_version = payload[0]; // hb-lint: allow(index): payload length checked at the top of the arm
-                if max_version < MIN_VERSION {
-                    return Err(NetError::Protocol(format!(
-                        "hello-ack advertises impossible version {max_version}"
-                    )));
-                }
                 Ok(Frame::HelloAck { max_version })
             }
             KIND_SUBSCRIBE => {
@@ -1557,17 +1434,10 @@ impl Frame {
                 }
                 let min_interval_ns = read_u64(payload, 5)?;
                 let (pattern, end) = get_pattern(payload, 13)?;
-                // The resume cursor is a trailing varint; its absence (the
-                // pre-resume encoding) means "start fresh".
-                let resume_from = if end == payload.len() {
-                    0
-                } else {
-                    let (resume_from, end) = get_varint(payload, end)?;
-                    if end != payload.len() {
-                        return Err(NetError::Protocol("subscribe trailing bytes".into()));
-                    }
-                    resume_from
-                };
+                let (resume_from, end) = get_varint(payload, end)?;
+                if end != payload.len() {
+                    return Err(NetError::Protocol("subscribe trailing bytes".into()));
+                }
                 Ok(Frame::Subscribe(SubscribeReq {
                     sub_id,
                     pattern,
@@ -1628,49 +1498,47 @@ impl Frame {
                          whitespace/control/quote/'/'/'*' characters)"
                     )));
                 }
-                // The path vector is a trailing count-prefixed list; its
-                // absence (the pre-loop-detection encoding) means "no
-                // ancestry announced".
-                let mut path = Vec::new();
-                if payload.len() > name_end {
-                    let count = payload[name_end] as usize; // hb-lint: allow(index): name_end < payload.len(): count byte checked above
-                    if count > MAX_PATH_NODES {
+                // The path vector: a count byte, then that many
+                // length-prefixed node names.
+                let Some(&count) = payload.get(name_end) else {
+                    return Err(NetError::Protocol("node hello path count truncated".into()));
+                };
+                let count = count as usize;
+                if count > MAX_PATH_NODES {
+                    return Err(NetError::Protocol(format!(
+                        "node path of {count} entries exceeds the {MAX_PATH_NODES}-entry limit"
+                    )));
+                }
+                let mut path = Vec::with_capacity(count);
+                let mut at = name_end + 1;
+                for _ in 0..count {
+                    let Some(&len) = payload.get(at) else {
+                        return Err(NetError::Protocol("node path truncated".into()));
+                    };
+                    let len = len as usize;
+                    if len > MAX_NODE_LEN {
                         return Err(NetError::Protocol(format!(
-                            "node path of {count} entries exceeds the {MAX_PATH_NODES}-entry limit"
+                            "node path entry of {len} bytes exceeds the \
+                             {MAX_NODE_LEN}-byte limit"
                         )));
                     }
-                    let mut at = name_end + 1;
-                    for _ in 0..count {
-                        let Some(&len) = payload.get(at) else {
-                            return Err(NetError::Protocol("node path truncated".into()));
-                        };
-                        let len = len as usize;
-                        if len > MAX_NODE_LEN {
-                            return Err(NetError::Protocol(format!(
-                                "node path entry of {len} bytes exceeds the \
-                                 {MAX_NODE_LEN}-byte limit"
-                            )));
-                        }
-                        let end = at + 1 + len;
-                        if payload.len() < end {
-                            return Err(NetError::Protocol("node path truncated".into()));
-                        }
-                        let entry = std::str::from_utf8(&payload[at + 1..end]) // hb-lint: allow(index): end <= payload.len() checked just above
-                            .map_err(|_| {
-                                NetError::Protocol("node path entry is not UTF-8".into())
-                            })?
-                            .to_string();
-                        if !valid_node_name(&entry) {
-                            return Err(NetError::Protocol(format!(
-                                "invalid node path entry {entry:?}"
-                            )));
-                        }
-                        path.push(entry);
-                        at = end;
+                    let end = at + 1 + len;
+                    if payload.len() < end {
+                        return Err(NetError::Protocol("node path truncated".into()));
                     }
-                    if at != payload.len() {
-                        return Err(NetError::Protocol("node hello trailing bytes".into()));
+                    let entry = std::str::from_utf8(&payload[at + 1..end]) // hb-lint: allow(index): end <= payload.len() checked just above
+                        .map_err(|_| NetError::Protocol("node path entry is not UTF-8".into()))?
+                        .to_string();
+                    if !valid_node_name(&entry) {
+                        return Err(NetError::Protocol(format!(
+                            "invalid node path entry {entry:?}"
+                        )));
                     }
+                    path.push(entry);
+                    at = end;
+                }
+                if at != payload.len() {
+                    return Err(NetError::Protocol("node hello trailing bytes".into()));
                 }
                 Ok(Frame::NodeHello { node, pid, path })
             }
@@ -1862,25 +1730,23 @@ pub fn splice_event_cursor(buf: &mut Vec<u8>, frame_at: usize, cursor: u64) -> R
     Ok(())
 }
 
-/// Streaming encoder for one [`Frame::Beats`] batch, in either wire
-/// encoding: [`begin`](Self::begin) starts a fixed-width version-2 frame,
-/// [`begin_compact`](Self::begin_compact) a delta/varint version-3 frame
-/// (used after a [`Frame::HelloAck`] negotiated version ≥ 3).
+/// Streaming encoder for one [`Frame::Beats`] batch.
 ///
 /// The flusher in [`TcpBackend`](crate::TcpBackend) drains its queue once
 /// per flush; materializing a [`BeatBatch`] (a `Vec<WireBeat>`) just to
 /// encode it would copy every record twice. `BatchEncoder` instead appends
 /// beats straight into the frame's wire encoding and patches the header
-/// (count, payload length, CRC) when the batch is sealed — one frame per
-/// flush, zero intermediate structures. The internal buffer is reused across
-/// batches, so steady-state flushing does not allocate.
+/// (payload length, CRC) when the batch is sealed — one frame per flush,
+/// zero intermediate structures. The internal buffer is reused across
+/// batches, so steady-state flushing does not allocate. The bytes are
+/// identical to [`Frame::encode`] of the same batch.
 ///
 /// ```
 /// use hb_net::wire::{BatchEncoder, Frame, WireBeat};
 /// use heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
 ///
 /// let mut encoder = BatchEncoder::new();
-/// encoder.begin(3); // 3 beats shed so far
+/// encoder.begin_compact(3); // 3 beats shed so far
 /// encoder.push(&WireBeat {
 ///     record: HeartbeatRecord::new(0, 1_000, Tag::NONE, BeatThreadId(0)),
 ///     scope: BeatScope::Global,
@@ -1895,7 +1761,6 @@ pub struct BatchEncoder {
     buf: Vec<u8>,
     count: u32,
     open: bool,
-    compact: bool,
     state: DeltaState,
 }
 
@@ -1905,53 +1770,31 @@ impl BatchEncoder {
         BatchEncoder::default()
     }
 
-    /// Starts a new fixed-width (version-2) batch carrying the producer's
-    /// cumulative drop counter. Any previous unfinished batch is discarded.
-    pub fn begin(&mut self, dropped_total: u64) {
-        self.begin_frame(KIND_BEATS, false);
-        put_u64(&mut self.buf, dropped_total);
-        put_u32(&mut self.buf, 0); // count, patched by finish()
-    }
-
-    /// Starts a new compact (version-3, delta/varint) batch. Only use after
-    /// the peer acknowledged protocol version ≥ 3 via [`Frame::HelloAck`];
-    /// older collectors reject the frame kind.
+    /// Starts a new batch carrying the producer's cumulative drop counter.
+    /// Any previous unfinished batch is discarded.
     pub fn begin_compact(&mut self, dropped_total: u64) {
-        self.begin_frame(KIND_BEATS_COMPACT, true);
-        put_varint(&mut self.buf, dropped_total);
-    }
-
-    fn begin_frame(&mut self, kind: u8, compact: bool) {
         self.buf.clear();
         self.count = 0;
         self.open = true;
-        self.compact = compact;
         self.state = DeltaState::default();
         put_u32(&mut self.buf, MAGIC);
-        // Both beat kinds are in the version table; see encode_into.
-        self.buf.push(wire_version(kind).unwrap_or(VERSION));
-        self.buf.push(kind);
+        self.buf.push(VERSION);
+        self.buf.push(KIND_BEATS);
         put_u32(&mut self.buf, 0); // payload_len, patched by finish()
         put_u32(&mut self.buf, 0); // crc, patched by finish()
+        put_varint(&mut self.buf, dropped_total);
     }
 
     /// Appends one beat. Returns `false` (leaving the batch unchanged) once
-    /// the frame is full ([`MAX_BATCH_BEATS`] records for the fixed-width
-    /// encoding, the [`MAX_PAYLOAD`] byte budget for the compact one); seal
-    /// it with [`finish`](Self::finish) and `begin` a new one.
+    /// the frame could no longer hold a worst-case record within
+    /// [`MAX_PAYLOAD`]; seal it with [`finish`](Self::finish) and begin a
+    /// new one.
     pub fn push(&mut self, beat: &WireBeat) -> bool {
-        debug_assert!(self.open, "push called before begin");
-        if self.compact {
-            if self.buf.len() + MAX_COMPACT_BEAT_LEN > HEADER_LEN + MAX_PAYLOAD {
-                return false;
-            }
-            encode_compact_beat(&mut self.buf, &mut self.state, beat);
-        } else {
-            if self.count as usize >= MAX_BATCH_BEATS {
-                return false;
-            }
-            encode_beat(&mut self.buf, beat);
+        debug_assert!(self.open, "push called before begin_compact");
+        if self.buf.len() + MAX_COMPACT_BEAT_LEN > HEADER_LEN + MAX_PAYLOAD {
+            return false;
         }
+        encode_compact_beat(&mut self.buf, &mut self.state, beat);
         self.count += 1;
         true
     }
@@ -1961,31 +1804,20 @@ impl BatchEncoder {
         self.count as usize
     }
 
-    /// True if no beats have been appended since `begin`.
+    /// True if no beats have been appended since `begin_compact`.
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
 
-    /// True if the current batch uses the compact (version-3) encoding.
-    pub fn is_compact(&self) -> bool {
-        self.compact
-    }
-
-    /// Seals the batch — patches the record count (fixed-width encoding
-    /// only; the compact encoding's count is implicit in the payload
-    /// length), payload length and CRC — and returns the complete encoded
-    /// frame.
+    /// Seals the batch — patches the payload length and CRC — and returns
+    /// the complete encoded frame.
     pub fn finish(&mut self) -> &[u8] {
-        debug_assert!(self.open, "finish called before begin");
+        debug_assert!(self.open, "finish called before begin_compact");
         self.open = false;
-        if !self.compact {
-            let count_at = HEADER_LEN + 8;
-            self.buf[count_at..count_at + 4].copy_from_slice(&self.count.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin() wrote into self.buf
-        }
         let payload_len = (self.buf.len() - HEADER_LEN) as u32;
-        let crc = crc32(&self.buf[HEADER_LEN..]); // hb-lint: allow(index): finish() patches the header begin() wrote into self.buf
-        self.buf[6..10].copy_from_slice(&payload_len.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin() wrote into self.buf
-        self.buf[10..14].copy_from_slice(&crc.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin() wrote into self.buf
+        let crc = crc32(&self.buf[HEADER_LEN..]); // hb-lint: allow(index): finish() patches the header begin_compact() wrote into self.buf
+        self.buf[6..10].copy_from_slice(&payload_len.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin_compact() wrote into self.buf
+        self.buf[10..14].copy_from_slice(&crc.to_le_bytes()); // hb-lint: allow(index): finish() patches the header begin_compact() wrote into self.buf
         &self.buf
     }
 }
@@ -2148,30 +1980,36 @@ mod tests {
             beats: vec![beat(5, BeatScope::Global)],
         });
         let mut bytes = frame.encode();
-        // The scope is the final byte of the only record.
-        let last = bytes.len() - 1;
-        bytes[last] = 7;
-        // Recompute the CRC so scope validation (not the checksum) trips.
+        // The scope is bit 0 of the only record's flag byte, which follows
+        // the one-byte dropped_total varint; set an undefined bit beside it.
+        bytes[HEADER_LEN + 1] |= 0b101;
+        // Recompute the CRC so flag validation (not the checksum) trips.
         let crc = crate::crc::crc32(&bytes[HEADER_LEN..]);
         bytes[10..14].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
             Frame::decode(&bytes),
-            Err(NetError::Protocol(msg)) if msg.contains("scope")
+            Err(NetError::Protocol(msg)) if msg.contains("flags")
         ));
     }
 
     #[test]
     fn count_length_mismatch_is_rejected() {
+        // The record count is implicit in the payload length, so a length
+        // that ends inside a record is a mismatch the decoder must refuse.
         let frame = Frame::Beats(BeatBatch {
             dropped_total: 0,
-            beats: vec![beat(1, BeatScope::Global)],
+            beats: vec![beat(1, BeatScope::Global), beat(2, BeatScope::Global)],
         });
         let mut bytes = frame.encode();
-        // Claim two records while carrying one.
-        bytes[HEADER_LEN + 8..HEADER_LEN + 12].copy_from_slice(&2u32.to_le_bytes());
+        bytes.pop();
+        let payload_len = (bytes.len() - HEADER_LEN) as u32;
+        bytes[6..10].copy_from_slice(&payload_len.to_le_bytes());
         let crc = crate::crc::crc32(&bytes[HEADER_LEN..]);
         bytes[10..14].copy_from_slice(&crc.to_le_bytes());
-        assert!(Frame::decode(&bytes).is_err());
+        assert!(matches!(
+            Frame::decode(&bytes),
+            Err(NetError::Protocol(msg)) if msg.contains("truncated")
+        ));
     }
 
     #[test]
@@ -2229,7 +2067,7 @@ mod tests {
         })
         .encode();
         let mut encoder = BatchEncoder::new();
-        encoder.begin(7);
+        encoder.begin_compact(7);
         for b in &beats {
             assert!(encoder.push(b));
         }
@@ -2240,11 +2078,11 @@ mod tests {
     #[test]
     fn batch_encoder_is_reusable_across_batches() {
         let mut encoder = BatchEncoder::new();
-        encoder.begin(0);
+        encoder.begin_compact(0);
         encoder.push(&beat(1, BeatScope::Global));
         let first = encoder.finish().to_vec();
 
-        encoder.begin(5);
+        encoder.begin_compact(5);
         encoder.push(&beat(2, BeatScope::Global));
         encoder.push(&beat(3, BeatScope::Local));
         let (frame, _) = Frame::decode(encoder.finish()).unwrap();
@@ -2263,7 +2101,7 @@ mod tests {
     #[test]
     fn batch_encoder_empty_batch_is_valid() {
         let mut encoder = BatchEncoder::new();
-        encoder.begin(42);
+        encoder.begin_compact(42);
         assert!(encoder.is_empty());
         let (frame, _) = Frame::decode(encoder.finish()).unwrap();
         assert_eq!(
@@ -2277,16 +2115,25 @@ mod tests {
 
     #[test]
     fn batch_encoder_refuses_overflow() {
+        // Small steady records: the encoder fills the frame to within one
+        // worst-case record of MAX_PAYLOAD, then refuses without changing
+        // the batch.
         let mut encoder = BatchEncoder::new();
-        encoder.begin(0);
+        encoder.begin_compact(0);
         let sample = beat(0, BeatScope::Global);
-        for _ in 0..MAX_BATCH_BEATS {
-            assert!(encoder.push(&sample));
-        }
-        assert!(!encoder.push(&sample), "frame at capacity rejects more beats");
-        assert_eq!(encoder.beats(), MAX_BATCH_BEATS);
+        while encoder.push(&sample) {}
+        let full = encoder.beats();
+        assert!(
+            !encoder.push(&sample),
+            "frame at capacity rejects more beats"
+        );
+        assert_eq!(encoder.beats(), full);
+        let bytes = encoder.finish();
+        assert!(bytes.len() - HEADER_LEN <= MAX_PAYLOAD);
+        assert!(bytes.len() - HEADER_LEN + MAX_COMPACT_BEAT_LEN > MAX_PAYLOAD);
         // Still decodable at the payload ceiling.
-        assert!(Frame::decode(encoder.finish()).is_ok());
+        let (frame, _) = Frame::decode(bytes).unwrap();
+        assert!(matches!(frame, Frame::Beats(b) if b.beats.len() == full));
     }
 
     #[test]
@@ -2348,7 +2195,7 @@ mod tests {
         ];
         for frame in frames {
             let bytes = frame.encode();
-            assert_eq!(bytes[4], 2, "health query frames are version 2");
+            assert_eq!(bytes[4], VERSION);
             let (decoded, used) = Frame::decode(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(decoded, frame);
@@ -2356,11 +2203,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_still_encode_as_version_1() {
-        // A version-1-only peer must keep accepting producer frames.
-        for frame in [
+    fn every_frame_encodes_the_current_version() {
+        let event = EventFrame {
+            sub_id: 1,
+            sent_at_ns: 2,
+            cursor: 3,
+            app: "cam".into(),
+            payload: EventPayload::Beats {
+                dropped_total: 0,
+                beats: vec![beat(1, BeatScope::Global)],
+            },
+        };
+        let frames = [
             Frame::Hello(Hello {
-                app: "legacy".into(),
+                app: "cam".into(),
                 pid: 1,
                 default_window: 20,
             }),
@@ -2370,28 +2226,86 @@ mod tests {
                 max_bps: 2.0,
             },
             Frame::Bye,
-        ] {
-            assert_eq!(frame.encode()[4], 1, "{frame:?}");
+            Frame::HistoryReq {
+                app: "cam".into(),
+                limit: 0,
+            },
+            Frame::History(HistoryChunk::default()),
+            Frame::HealthReq { app: "cam".into() },
+            Frame::Health(HealthFrame {
+                app: "cam".into(),
+                known: false,
+                report: HealthReport::no_signal(),
+            }),
+            Frame::HelloAck {
+                max_version: VERSION,
+            },
+            Frame::Subscribe(SubscribeReq {
+                sub_id: 1,
+                pattern: "*".into(),
+                interests: 0b001,
+                min_interval_ns: 0,
+                resume_from: 0,
+            }),
+            Frame::SubAck {
+                sub_id: 1,
+                status: SubStatus::Ok,
+            },
+            Frame::Event(event.clone()),
+            Frame::Unsubscribe { sub_id: 1 },
+            Frame::NodeHello {
+                node: "leaf".into(),
+                pid: 1,
+                path: vec![],
+            },
+            Frame::RelayEvent { seq: 1, event },
+            Frame::RelayAck { last_applied: 0 },
+            Frame::NodeChallenge {
+                nonce: [0; AUTH_LEN],
+            },
+            Frame::NodeAuth { mac: [0; AUTH_LEN] },
+        ];
+        let mut kinds: Vec<u8> = frames.iter().map(Frame::kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), frames.len(), "one frame of every kind");
+        for frame in &frames {
+            assert_eq!(frame.encode()[4], VERSION, "{frame:?}");
         }
+        let mut encoder = BatchEncoder::new();
+        encoder.begin_compact(0);
+        assert_eq!(encoder.finish()[4], VERSION);
     }
 
     #[test]
     fn v2_kind_in_v1_header_is_rejected() {
         let mut bytes = Frame::HealthReq { app: "app".into() }.encode();
-        bytes[4] = 1; // claim version 1 for a version-2 kind
+        bytes[4] = 1;
         assert!(matches!(
             Frame::decode(&bytes),
-            Err(NetError::Protocol(msg)) if msg.contains("requires protocol version 2")
+            Err(NetError::Protocol(msg)) if msg.contains("unsupported protocol version 1")
         ));
     }
 
+    /// Versions 1 and 2 and the fixed-width beats kind are retired: a
+    /// header claiming either old version is refused whatever its kind, and
+    /// kind 2 is unknown even under the current version.
     #[test]
-    fn v2_header_accepts_v1_kinds() {
-        // Version upgrades are backward compatible: a v2 header on an old
-        // kind still decodes.
-        let mut bytes = Frame::Bye.encode();
-        bytes[4] = 2;
-        assert_eq!(Frame::decode(&bytes).unwrap().0, Frame::Bye);
+    fn retired_versions_and_kind_2_are_rejected() {
+        for version in [1u8, 2] {
+            let mut bytes = Frame::Bye.encode();
+            bytes[4] = version;
+            assert!(matches!(
+                Frame::decode(&bytes),
+                Err(NetError::Protocol(msg)) if msg.contains("unsupported protocol version")
+            ));
+        }
+        // A well-formed retired empty batch: dropped_total u64 + count u32.
+        let bytes = raw_frame(VERSION, 2, &[0; 12]);
+        assert!(matches!(
+            Frame::decode(&bytes),
+            Err(NetError::Protocol(msg)) if msg.contains("unknown frame kind 2")
+        ));
     }
 
     #[test]
@@ -2488,7 +2402,7 @@ mod tests {
         }
         assert_eq!(
             hex(&Frame::Bye.encode()),
-            "48 42 57 54 01 04 00 00 00 00 00 00 00 00"
+            "48 42 57 54 03 04 00 00 00 00 00 00 00 00"
         );
         assert_eq!(
             hex(
@@ -2499,12 +2413,12 @@ mod tests {
                 })
                 .encode()
             ),
-            "48 42 57 54 01 01 0d 00 00 00 0d 1b ff c1 \
+            "48 42 57 54 03 01 0d 00 00 00 0d 1b ff c1 \
              07 00 00 00 14 00 00 00 03 00 63 61 6d"
         );
         assert_eq!(
             hex(&Frame::HealthReq { app: "cam".into() }.encode()),
-            "48 42 57 54 02 07 05 00 00 00 b7 bf f6 84 03 00 63 61 6d"
+            "48 42 57 54 03 07 05 00 00 00 b7 bf f6 84 03 00 63 61 6d"
         );
         assert_eq!(
             hex(
@@ -2514,7 +2428,7 @@ mod tests {
                 }
                 .encode()
             ),
-            "48 42 57 54 02 05 09 00 00 00 82 74 2b 8a \
+            "48 42 57 54 03 05 09 00 00 00 82 74 2b 8a \
              02 00 00 00 03 00 63 61 6d"
         );
     }
@@ -2530,10 +2444,10 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Version-3 compact framing
+    // Compact beat framing
     // ------------------------------------------------------------------
 
-    /// Encodes `batch` with the compact (version-3) encoder.
+    /// Encodes `batch` with the streaming encoder.
     fn encode_compact(batch: &BeatBatch) -> Vec<u8> {
         let mut encoder = BatchEncoder::new();
         encoder.begin_compact(batch.dropped_total);
@@ -2543,17 +2457,23 @@ mod tests {
         encoder.finish().to_vec()
     }
 
-    /// Wraps a raw compact-beats payload in a valid frame (header + CRC),
-    /// for malformed-payload tests that must get past the checksum.
-    fn compact_frame(payload: &[u8]) -> Vec<u8> {
+    /// Wraps a raw payload in a frame with the given header version and
+    /// kind and a valid CRC, for tests that must get past the checksum.
+    fn raw_frame(version: u8, kind: u8, payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         put_u32(&mut bytes, MAGIC);
-        bytes.push(3);
-        bytes.push(KIND_BEATS_COMPACT);
+        bytes.push(version);
+        bytes.push(kind);
         put_u32(&mut bytes, payload.len() as u32);
         put_u32(&mut bytes, crate::crc::crc32(payload));
         bytes.extend_from_slice(payload);
         bytes
+    }
+
+    /// Wraps a raw beats payload in a valid frame, for malformed-payload
+    /// tests.
+    fn compact_frame(payload: &[u8]) -> Vec<u8> {
+        raw_frame(VERSION, KIND_BEATS, payload)
     }
 
     #[test]
@@ -2597,22 +2517,18 @@ mod tests {
 
     #[test]
     fn hello_ack_roundtrip() {
-        let frame = Frame::HelloAck { max_version: VERSION };
-        let bytes = frame.encode();
-        assert_eq!(bytes[4], 3, "hello-ack is a version-3 frame");
-        let (decoded, used) = Frame::decode(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(decoded, frame);
-        // A zero version is impossible.
-        let mut bad = Frame::HelloAck { max_version: 0 }.encode();
-        // encode() wrote version 0 into the payload; fix nothing — the
-        // decoder must reject it (the CRC is already consistent).
-        assert!(matches!(
-            Frame::decode(&bad),
-            Err(NetError::Protocol(msg)) if msg.contains("impossible version")
-        ));
-        // Oversized payloads are rejected too.
-        bad = Frame::HelloAck { max_version: 3 }.encode();
+        // The codec carries any version byte, 0 included; refusing a
+        // foreign version is the producer handshake's job.
+        for max_version in [0, 1, VERSION, u8::MAX] {
+            let frame = Frame::HelloAck { max_version };
+            let bytes = frame.encode();
+            assert_eq!(bytes[4], VERSION);
+            let (decoded, used) = Frame::decode(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            assert_eq!(decoded, frame);
+        }
+        // Oversized payloads are rejected.
+        let mut bad = Frame::HelloAck { max_version: 3 }.encode();
         bad[6..10].copy_from_slice(&2u32.to_le_bytes());
         bad.push(0);
         assert!(Frame::decode(&bad).is_err());
@@ -2633,8 +2549,8 @@ mod tests {
             ],
         };
         let bytes = encode_compact(&batch);
-        assert_eq!(bytes[4], 3, "compact beats are version-3 frames");
-        assert_eq!(bytes[5], KIND_BEATS_COMPACT);
+        assert_eq!(bytes[4], VERSION);
+        assert_eq!(bytes[5], KIND_BEATS);
         let (decoded, used) = Frame::decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(decoded, Frame::Beats(batch));
@@ -2689,8 +2605,9 @@ mod tests {
 
     /// The acceptance pin: a realistic 64-beat batch — sequence deltas of
     /// 1, ~1 ms timestamp jitter, untagged, single-threaded — must encode
-    /// in v3 to at most 40% of its v2 byte size. (In practice it lands
-    /// near 20%.)
+    /// to at most 11.7 bytes per beat, header included: 40% of the 29.41
+    /// B/beat the retired fixed-width encoding spent on the same batch.
+    /// (In practice it lands near 6.6.)
     #[test]
     fn compact_batch_is_at_most_40_percent_of_v2() {
         let mut ts = 1_700_000_000_000_000_000u64; // a realistic epoch-ns clock
@@ -2710,45 +2627,49 @@ mod tests {
             dropped_total: 0,
             beats,
         };
-        let v2 = Frame::Beats(batch.clone()).encode();
-        let v3 = encode_compact(&batch);
-        assert_eq!(v2.len(), HEADER_LEN + BATCH_PREFIX_LEN + 64 * BEAT_LEN);
+        let bytes = encode_compact(&batch);
         assert!(
-            v3.len() * 100 <= v2.len() * 40,
-            "v3 batch is {} bytes, v2 is {} — compact must be <= 40%",
-            v3.len(),
-            v2.len()
+            bytes.len() * 10 <= 64 * 117,
+            "64-beat batch is {} bytes ({:.2} B/beat) — must be <= 11.7 B/beat",
+            bytes.len(),
+            bytes.len() as f64 / 64.0
         );
         // And it still decodes to the identical batch.
-        let (decoded, _) = Frame::decode(&v3).unwrap();
+        let (decoded, _) = Frame::decode(&bytes).unwrap();
         assert_eq!(decoded, Frame::Beats(batch));
     }
 
     #[test]
-    fn beats_view_matches_materialized_decode_for_both_kinds() {
+    fn beats_view_matches_materialized_decode() {
         let batch = BeatBatch {
             dropped_total: 3,
             beats: (0..50)
                 .map(|i| beat(i, if i % 2 == 0 { BeatScope::Global } else { BeatScope::Local }))
                 .collect(),
         };
-        for bytes in [Frame::Beats(batch.clone()).encode(), encode_compact(&batch)] {
-            let (kind, payload_len, _) = Frame::decode_header(&bytes).unwrap();
-            let view =
-                BeatsView::parse(kind, &bytes[HEADER_LEN..HEADER_LEN + payload_len]).unwrap();
-            assert_eq!(view.dropped_total(), 3);
-            assert_eq!(view.len(), 50);
-            let iter = view.iter();
-            assert_eq!(iter.len(), 50, "ExactSizeIterator agrees with the view");
-            let collected: Vec<WireBeat> = iter.collect();
-            assert_eq!(collected, batch.beats, "view iteration == materialized decode");
-        }
+        let bytes = encode_compact(&batch);
+        assert_eq!(bytes, Frame::Beats(batch.clone()).encode());
+        let (kind, payload_len, _) = Frame::decode_header(&bytes).unwrap();
+        let view = BeatsView::parse(kind, &bytes[HEADER_LEN..HEADER_LEN + payload_len]).unwrap();
+        assert_eq!(view.dropped_total(), 3);
+        assert_eq!(view.len(), 50);
+        let iter = view.iter();
+        assert_eq!(iter.len(), 50, "ExactSizeIterator agrees with the view");
+        let collected: Vec<WireBeat> = iter.collect();
+        assert_eq!(
+            collected, batch.beats,
+            "view iteration == materialized decode"
+        );
     }
 
     #[test]
     fn beats_view_rejects_non_beats_kinds() {
-        assert!(BeatsView::parse(KIND_HELLO, &[]).is_err());
-        assert!(BeatsView::parse(KIND_HEALTH, &[]).is_err());
+        assert!(BeatsView::parse(KIND_HELLO, &[0]).is_err());
+        assert!(BeatsView::parse(KIND_HEALTH, &[0]).is_err());
+        // The retired fixed-width kind, even with a payload that would
+        // parse as a compact empty batch.
+        assert!(BeatsView::parse(2, &[0]).is_err());
+        assert!(BeatsView::parse(KIND_BEATS, &[0]).is_ok());
     }
 
     #[test]
@@ -2816,15 +2737,15 @@ mod tests {
     fn v3_kind_in_v2_header_is_rejected() {
         let batch = BeatBatch::default();
         let mut bytes = encode_compact(&batch);
-        bytes[4] = 2; // claim version 2 for a version-3 kind
+        bytes[4] = 2;
         assert!(matches!(
             Frame::decode(&bytes),
-            Err(NetError::Protocol(msg)) if msg.contains("requires protocol version 3")
+            Err(NetError::Protocol(msg)) if msg.contains("unsupported protocol version 2")
         ));
     }
 
     // ------------------------------------------------------------------
-    // Subscription frames (version 3, kinds 11–14)
+    // Subscription frames (kinds 11–14)
     // ------------------------------------------------------------------
 
     #[test]
@@ -3119,7 +3040,7 @@ mod tests {
         assert_eq!(SubStatus::from_u8(3), None);
     }
 
-    /// Pins the version-3 worked hex examples in `docs/WIRE.md`.
+    /// Pins the hello-ack and beats worked hex examples in `docs/WIRE.md`.
     #[test]
     fn v3_worked_examples_match_wire_md() {
         fn hex(bytes: &[u8]) -> String {
@@ -3291,10 +3212,9 @@ mod tests {
     }
 
     #[test]
-    fn node_hello_legacy_body_decodes_with_empty_path() {
-        // The pre-loop-detection encoding ends right after the node name;
-        // it must keep decoding (path = []) so a mixed-version tree can
-        // still link up.
+    fn node_hello_without_path_is_rejected() {
+        // The path-count byte is required: a body that ends right after
+        // the node name is truncated.
         let mut frame = Frame::NodeHello {
             node: "leaf-1".into(),
             pid: 7,
@@ -3307,16 +3227,10 @@ mod tests {
         frame[6..10].copy_from_slice(&payload_len.to_le_bytes());
         let crc = crc32(&frame[HEADER_LEN..]);
         frame[10..14].copy_from_slice(&crc.to_le_bytes());
-        let (decoded, used) = Frame::decode(&frame).unwrap();
-        assert_eq!(used, frame.len());
-        assert_eq!(
-            decoded,
-            Frame::NodeHello {
-                node: "leaf-1".into(),
-                pid: 7,
-                path: vec![],
-            }
-        );
+        assert!(matches!(
+            Frame::decode(&frame),
+            Err(NetError::Protocol(msg)) if msg.contains("path count truncated")
+        ));
     }
 
     #[test]
@@ -3376,7 +3290,7 @@ mod tests {
     }
 
     #[test]
-    fn subscribe_legacy_body_decodes_with_zero_resume() {
+    fn subscribe_without_resume_cursor_is_rejected() {
         let mut frame = Frame::Subscribe(SubscribeReq {
             sub_id: 3,
             pattern: "cam*".into(),
@@ -3391,10 +3305,9 @@ mod tests {
         frame[6..10].copy_from_slice(&payload_len.to_le_bytes());
         let crc = crc32(&frame[HEADER_LEN..]);
         frame[10..14].copy_from_slice(&crc.to_le_bytes());
-        let (decoded, _) = Frame::decode(&frame).unwrap();
         assert!(matches!(
-            decoded,
-            Frame::Subscribe(SubscribeReq { resume_from: 0, .. })
+            Frame::decode(&frame),
+            Err(NetError::Protocol(msg)) if msg.contains("varint truncated")
         ));
     }
 
@@ -3509,6 +3422,8 @@ mod tests {
 
     #[test]
     fn federation_kinds_are_version_3() {
+        let mut header = Frame::Bye.encode();
+        assert_eq!(header[4], 3);
         for kind in [
             KIND_NODE_HELLO,
             KIND_RELAY_EVENT,
@@ -3516,9 +3431,11 @@ mod tests {
             KIND_NODE_CHALLENGE,
             KIND_NODE_AUTH,
         ] {
-            assert_eq!(wire_version(kind), Some(3));
+            header[5] = kind;
+            assert!(Frame::decode_header(&header).is_ok(), "kind {kind}");
         }
-        assert_eq!(wire_version(KIND_NODE_AUTH + 1), None);
+        header[5] = KIND_NODE_AUTH + 1;
+        assert!(Frame::decode_header(&header).is_err());
     }
 
     #[test]

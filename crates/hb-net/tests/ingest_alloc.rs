@@ -43,14 +43,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Encodes one batch frame of `n` beats starting at `base`, in either
-/// encoding, reusing `encoder`'s buffer.
-fn encode_batch(encoder: &mut BatchEncoder, compact: bool, base: u64, n: u64) -> Vec<u8> {
-    if compact {
-        encoder.begin_compact(0);
-    } else {
-        encoder.begin(0);
-    }
+/// Encodes one batch frame of `n` beats starting at `base`, reusing
+/// `encoder`'s buffer.
+fn encode_batch(encoder: &mut BatchEncoder, base: u64, n: u64) -> Vec<u8> {
+    encoder.begin_compact(0);
     for i in 0..n {
         let seq = base + i;
         encoder.push(&WireBeat {
@@ -68,54 +64,51 @@ fn beats_decode_to_ingest_allocates_nothing_at_steady_state() {
     let handle = state.hello("alloc-probe", 1, 20);
     let mut encoder = BatchEncoder::new();
 
-    for compact in [false, true] {
-        let mut decoder = FrameDecoder::new();
-        let mut base = 0u64;
-        // Warm-up: grow the decoder buffer to steady state, create the
-        // registry entry's rate window/history ring, and fill the moving
-        // window to its bound (frames are encoded up front so the measured
-        // loop touches producer-side buffers not at all).
-        let warm_frames: Vec<Vec<u8>> = (0..64)
-            .map(|_| {
-                let f = encode_batch(&mut encoder, compact, base, BATCH);
-                base += BATCH;
-                f
-            })
-            .collect();
-        let measured_frames: Vec<Vec<u8>> = (0..256)
-            .map(|_| {
-                let f = encode_batch(&mut encoder, compact, base, BATCH);
-                base += BATCH;
-                f
-            })
-            .collect();
-        let drive = |decoder: &mut FrameDecoder, frames: &[Vec<u8>]| {
-            for frame in frames {
-                decoder.push(frame);
-                while let Some(event) = decoder.next_event().unwrap() {
-                    match event {
-                        FrameEvent::Beats(view) => {
-                            state.ingest_batch_with(&handle, view.dropped_total(), view.iter());
-                        }
-                        FrameEvent::Control(other) => panic!("unexpected frame {other:?}"),
+    let mut decoder = FrameDecoder::new();
+    let mut base = 0u64;
+    // Warm-up: grow the decoder buffer to steady state, create the
+    // registry entry's rate window/history ring, and fill the moving
+    // window to its bound (frames are encoded up front so the measured
+    // loop touches producer-side buffers not at all).
+    let warm_frames: Vec<Vec<u8>> = (0..64)
+        .map(|_| {
+            let f = encode_batch(&mut encoder, base, BATCH);
+            base += BATCH;
+            f
+        })
+        .collect();
+    let measured_frames: Vec<Vec<u8>> = (0..256)
+        .map(|_| {
+            let f = encode_batch(&mut encoder, base, BATCH);
+            base += BATCH;
+            f
+        })
+        .collect();
+    let drive = |decoder: &mut FrameDecoder, frames: &[Vec<u8>]| {
+        for frame in frames {
+            decoder.push(frame);
+            while let Some(event) = decoder.next_event().unwrap() {
+                match event {
+                    FrameEvent::Beats(view) => {
+                        state.ingest_batch_with(&handle, view.dropped_total(), view.iter());
                     }
+                    FrameEvent::Control(other) => panic!("unexpected frame {other:?}"),
                 }
             }
-        };
-        drive(&mut decoder, &warm_frames);
+        }
+    };
+    drive(&mut decoder, &warm_frames);
 
-        let before = ALLOC_OPS.load(Ordering::Relaxed);
-        drive(&mut decoder, &measured_frames);
-        let after = ALLOC_OPS.load(Ordering::Relaxed);
-        assert_eq!(
-            after - before,
-            0,
-            "decode→ingest of 256 {} frames must not allocate",
-            if compact { "compact" } else { "fixed-width" }
-        );
-    }
+    let before = ALLOC_OPS.load(Ordering::Relaxed);
+    drive(&mut decoder, &measured_frames);
+    let after = ALLOC_OPS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "decode→ingest of 256 frames must not allocate"
+    );
 
     // The beats really arrived.
     let snap = state.snapshot("alloc-probe").unwrap();
-    assert_eq!(snap.total_beats, 2 * (64 + 256) * BATCH);
+    assert_eq!(snap.total_beats, (64 + 256) * BATCH);
 }

@@ -8,11 +8,9 @@
 //! with any beat granularity, with or without heartbeats, so the bench
 //! harness can reproduce that comparison.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use heartbeats::{Heartbeat, HeartbeatBuilder, Tag};
-use rayon::prelude::*;
 
 use crate::kernels;
 
@@ -103,7 +101,8 @@ pub struct RealRunConfig {
     /// Register one heartbeat every `beat_every` items (0 = no heartbeats,
     /// reproducing the uninstrumented baseline).
     pub beat_every: usize,
-    /// Run items in parallel with rayon.
+    /// Split the items into contiguous ranges, one per available core, and
+    /// run them on scoped threads.
     pub parallel: bool,
 }
 
@@ -136,32 +135,39 @@ pub fn run_real(config: &RealRunConfig) -> RealRunResult {
         None
     };
 
-    let start = Instant::now();
-    let checksum: f64 = if config.parallel {
-        let heartbeat = heartbeat.clone().map(Arc::new);
-        (0..config.items)
-            .into_par_iter()
-            .map(|i| {
-                let value = config.kernel.run_item(config.item_size, i as u64);
-                if let Some(hb) = &heartbeat {
-                    if config.beat_every > 0 && (i + 1) % config.beat_every == 0 {
-                        hb.heartbeat_tagged(Tag::new(i as u64));
-                    }
-                }
-                value
-            })
-            .sum()
-    } else {
+    // Runs items `range` in order, beating after every `beat_every`-th.
+    let run_range = |range: std::ops::Range<usize>| -> f64 {
         let mut sum = 0.0;
-        for i in 0..config.items {
+        for i in range {
             sum += config.kernel.run_item(config.item_size, i as u64);
             if let Some(hb) = &heartbeat {
-                if config.beat_every > 0 && (i + 1) % config.beat_every == 0 {
+                if (i + 1) % config.beat_every == 0 {
                     hb.heartbeat_tagged(Tag::new(i as u64));
                 }
             }
         }
         sum
+    };
+
+    let start = Instant::now();
+    let checksum: f64 = if config.parallel {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let chunk = config.items.div_ceil(threads).max(1);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..config.items)
+                .step_by(chunk)
+                .map(|first| {
+                    let range = first..(first + chunk).min(config.items);
+                    scope.spawn(move || run_range(range))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| worker.join().expect("kernel worker panicked"))
+                .sum()
+        })
+    } else {
+        run_range(0..config.items)
     };
     let seconds = start.elapsed().as_secs_f64();
 

@@ -1,11 +1,8 @@
 //! End-to-end tests of the unified observer API: push subscriptions over a
 //! real loopback collector, the `Observe` trait across all three transports
 //! (in-process reader, shared memory, remote collector), subscription
-//! lifecycle and backpressure accounting, idle-eviction exemption, and the
-//! clean `Unsupported` failure against a pre-subscription collector.
+//! lifecycle and backpressure accounting, and idle-eviction exemption.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,8 +12,7 @@ use app_heartbeats::heartbeats::observe::{
 };
 use app_heartbeats::heartbeats::{Backend, HeartbeatBuilder};
 use app_heartbeats::net::{
-    Collector, CollectorConfig, HealthConfig, NetError, RemoteReader, TcpBackend,
-    TcpBackendConfig,
+    Collector, CollectorConfig, HealthConfig, RemoteReader, TcpBackend, TcpBackendConfig,
 };
 
 /// Polls `probe` until it returns `Some` or the timeout elapses.
@@ -408,55 +404,6 @@ fn active_subscription_survives_idle_timeout_shorter_than_event_gap() {
         .expect("event delivered after the idle window passed");
     assert_eq!(event.app, "quiet-app");
     drop(idle_probe);
-}
-
-/// Subscribing through a collector that predates the subscription protocol
-/// fails fast with `Unsupported` — negotiated up front, never by hanging on
-/// a `Subscribe` nobody will acknowledge.
-#[test]
-fn subscribing_to_a_v2_collector_reports_unsupported() {
-    // A faithful stand-in for the old collector's query port: answers every
-    // line with the old `ERR unknown command` and knows no binary frames.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake collector");
-    let addr = listener.local_addr().expect("addr");
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { break };
-            std::thread::spawn(move || {
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                let mut line = String::new();
-                while let Ok(n) = reader.read_line(&mut line) {
-                    if n == 0 {
-                        break;
-                    }
-                    let cmd = line.trim().to_string();
-                    let mut out = stream.try_clone().expect("clone");
-                    if cmd == "PING" {
-                        let _ = writeln!(out, "PONG");
-                    } else {
-                        let _ = writeln!(out, "ERR unknown command {cmd} (try HELP)");
-                    }
-                    line.clear();
-                }
-            });
-        }
-    });
-
-    let reader = Arc::new(RemoteReader::connect(addr.to_string()).expect("connect"));
-    reader.ping().expect("old collector still answers pings");
-    let filter = ObserveFilter::new(Interest::HEALTH);
-    let started = Instant::now();
-    let err = reader
-        .subscribe("anything", &filter)
-        .expect_err("subscribe must fail against a v2 collector");
-    assert!(
-        matches!(err, NetError::Unsupported(_)),
-        "expected Unsupported, got {err:?}"
-    );
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "failure is immediate, not a hang"
-    );
 }
 
 /// One generic observer runs unchanged across all three transports — the

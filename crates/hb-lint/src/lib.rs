@@ -14,7 +14,8 @@
 //!    justification; load-then-store on watermark/cursor/seq fields
 //!    without a CAS claim is the PR 9 bug class and is flagged.
 //! 2. **panics** — `unwrap`/`expect`/`panic!`/indexing denied on the data
-//!    plane (`reactor.rs`, `frame.rs`, `wire.rs`, all `Handler` impls).
+//!    plane (`reactor.rs`, `frame.rs`, `wire.rs`, `query.rs`, all `Handler`
+//!    impls).
 //! 3. **alloc** — deny-listed allocating calls inside
 //!    `// hb-lint: hot-path` regions.
 //! 4. **wire-kinds** — `KIND_*` constants vs. decoder arms vs. WIRE.md

@@ -8,11 +8,12 @@
 //!              [--upstream HOST:PORT --node-name NAME] [--cluster-secret SECRET]
 //! ```
 //!
-//! Producers point a `TcpBackend` at the ingest address; observers speak the
-//! line protocol (`HELP`, `LIST`, `GET <app>`, `HISTORY <app> [n]`,
-//! `HEALTH [app]`, `METRICS`, `STATS`, `PING`, `QUIT`) to the query address
-//! — `METRICS` returns a Prometheus-style text export, and binary
-//! `HistoryReq`/`HealthReq` wire frames are answered on the same port. With
+//! Producers point a `TcpBackend` at the ingest address; observers query
+//! the query address with text lines (`HELP`, `PING`, `VERSION`, `LIST`,
+//! `GET <app>`, `HISTORY <app> [n]`, `HEALTH [app]`, `METRICS`, `STATS`,
+//! `HEATMAP [b] [w_ms]`, `TRACE [n]`, `QUIT`) or the same queries as binary
+//! `Query` frames, answered with `Reply` frames (`RemoteReader` does that);
+//! `METRICS` returns a Prometheus-style text export. With
 //! `--print-every N` the daemon also prints a registry summary to stdout
 //! every N seconds.
 //!

@@ -1,10 +1,15 @@
 //! Observer-side client for the collector's query port.
 //!
-//! [`RemoteReader`] speaks the line protocol (`LIST`/`GET`/`METRICS`), the
-//! binary health queries ([`history`](RemoteReader::history) /
-//! [`health`](RemoteReader::health)), and the **push-subscription plane**
-//! ([`subscribe`](RemoteReader::subscribe) → [`Subscription`]) over one
-//! persistent connection; [`RemoteApp`] narrows it to a single application
+//! [`RemoteReader`] speaks only binary frames over one persistent
+//! connection: every query ([`apps`](RemoteReader::apps),
+//! [`snapshot`](RemoteReader::snapshot), [`stats`](RemoteReader::stats),
+//! [`metrics`](RemoteReader::metrics), [`ping`](RemoteReader::ping),
+//! [`history`](RemoteReader::history), [`health`](RemoteReader::health)) is
+//! one [`Query`] frame answered by [`Reply`] fragments (see
+//! [`crate::query`]), and the **push-subscription plane**
+//! ([`subscribe`](RemoteReader::subscribe) → [`Subscription`]) shares the
+//! socket. The line protocol stays for humans on `nc`; this client never
+//! sends a line. [`RemoteApp`] narrows the reader to a single application
 //! and implements [`heartbeats::Observe`] — so a `control::RateMonitor` or
 //! `control::ControlLoop` (whose `RateSource`/`HealthSource` traits have
 //! blanket impls for every `Observe`) drives adaptation from a collector
@@ -19,12 +24,12 @@
 //! the collector write [`Frame::Event`]s at its own pace, interleaved with
 //! query replies on the same socket. The first `subscribe` therefore
 //! upgrades the connection: a demux thread owns the read side, routes
-//! events to their [`Subscription`] queues, and forwards everything else
+//! events to their [`Subscription`] queues, and forwards every other frame
 //! into a pipe the synchronous query path reads — so polls and pushes
 //! coexist on one connection without ever blocking each other.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -39,12 +44,13 @@ use crate::collector::AppSnapshot;
 use crate::error::{NetError, Result};
 use crate::frame::FrameReader;
 use crate::health::{HealthReport, HealthStatus};
+use crate::query::{read_reply, CollectorStats, HistoryChunk, Query, Reply};
 use crate::telemetry::{self, HistoSnapshot, LatencyHisto};
-use crate::wire::{self, EventFrame, EventPayload, Frame, HistoryChunk, SubStatus, SubscribeReq};
+use crate::wire::{self, EventFrame, EventPayload, Frame, SubStatus, SubscribeReq};
 
 /// How long a synchronous query waits for its reply before treating the
 /// connection as dead (both the direct socket timeout and the demux pipe's
-/// wait bound).
+/// wait bound, per frame).
 const REPLY_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Client-side bound on one subscription's undelivered events; beyond it
@@ -53,13 +59,10 @@ const SUB_QUEUE_CAPACITY: usize = 8192;
 
 /// A read-only client of a collector's query port.
 ///
-/// One `RemoteReader` holds one persistent connection; every query —
-/// line-based ([`apps`](RemoteReader::apps), [`snapshot`](RemoteReader::snapshot),
-/// [`metrics`](RemoteReader::metrics), [`stats`](RemoteReader::stats)) or
-/// binary ([`history`](RemoteReader::history), [`health`](RemoteReader::health))
-/// — is one round trip on it, reconnecting transparently if the collector
-/// restarts. [`subscribe`](RemoteReader::subscribe) opens a push
-/// subscription multiplexed over the same connection.
+/// One `RemoteReader` holds one persistent connection; every query is one
+/// [`Query`] → [`Reply`] round trip on it, reconnecting transparently if
+/// the collector restarts. [`subscribe`](RemoteReader::subscribe) opens a
+/// push subscription multiplexed over the same connection.
 ///
 /// ```
 /// use hb_net::{Collector, RemoteReader};
@@ -82,12 +85,12 @@ pub struct RemoteReader {
     next_sub: AtomicU32,
 }
 
-/// One client connection: a buffered reply source plus the write half.
-/// In direct mode the source *is* the socket; in demux mode it is the pipe
-/// the demux thread forwards non-event traffic into.
+/// One client connection: a reply source plus the write half. In direct
+/// mode the source *is* the socket; in demux mode it is the pipe the demux
+/// thread forwards non-event frames into.
 #[derive(Debug)]
 struct Conn {
-    reader: BufReader<ReplySource>,
+    source: ReplySource,
     writer: TcpStream,
     /// Set in demux mode, so a failed query can tear the demux down with it
     /// (its subscriptions then close instead of silently starving).
@@ -97,37 +100,39 @@ struct Conn {
 /// Where synchronous query replies come from.
 #[derive(Debug)]
 enum ReplySource {
-    Direct(TcpStream),
-    Pipe(Arc<BytePipe>),
+    Direct(FrameReader<BufReader<TcpStream>>),
+    Pipe(Arc<FramePipe>),
 }
 
-impl Read for ReplySource {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+impl ReplySource {
+    /// The next frame addressed to the query path; end-of-stream is
+    /// [`NetError::UnexpectedEof`].
+    fn next_frame(&mut self) -> Result<Frame> {
         match self {
-            ReplySource::Direct(stream) => stream.read(buf),
-            ReplySource::Pipe(pipe) => pipe.read_bytes(buf),
+            ReplySource::Direct(reader) => reader.read_frame()?.ok_or(NetError::UnexpectedEof),
+            ReplySource::Pipe(pipe) => pipe.next_frame(),
         }
     }
 }
 
-/// A byte pipe between the demux thread and the synchronous query path:
+/// A frame queue between the demux thread and the synchronous query path:
 /// blocking reads with a bounded wait, explicit end-of-stream.
 #[derive(Debug, Default)]
-struct BytePipe {
+struct FramePipe {
     state: Mutex<PipeState>,
     ready: Condvar,
 }
 
 #[derive(Debug, Default)]
 struct PipeState {
-    buf: VecDeque<u8>,
+    frames: VecDeque<Frame>,
     eof: bool,
 }
 
-impl BytePipe {
-    fn push(&self, bytes: &[u8]) {
+impl FramePipe {
+    fn push(&self, frame: Frame) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.buf.extend(bytes);
+        state.frames.push_back(frame);
         drop(state);
         self.ready.notify_all();
     }
@@ -139,28 +144,24 @@ impl BytePipe {
         self.ready.notify_all();
     }
 
-    /// Blocking read with the reply timeout: `Ok(0)` is end-of-stream, a
-    /// timeout surfaces as `TimedOut` (the query path then reconnects).
-    fn read_bytes(&self, buf: &mut [u8]) -> std::io::Result<usize> {
+    /// Blocking pop with the reply timeout; a timeout surfaces as
+    /// `TimedOut` (the query path then reconnects).
+    fn next_frame(&self) -> Result<Frame> {
         let deadline = Instant::now() + REPLY_TIMEOUT;
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if !state.buf.is_empty() {
-                let n = buf.len().min(state.buf.len());
-                for (slot, byte) in buf.iter_mut().zip(state.buf.drain(..n)) {
-                    *slot = byte;
-                }
-                return Ok(n);
+            if let Some(frame) = state.frames.pop_front() {
+                return Ok(frame);
             }
             if state.eof {
-                return Ok(0);
+                return Err(NetError::UnexpectedEof);
             }
             let now = Instant::now();
             if now >= deadline {
-                return Err(std::io::Error::new(
+                return Err(NetError::Io(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
                     "reply timed out",
-                ));
+                )));
             }
             let (guard, _) = self
                 .ready
@@ -174,7 +175,7 @@ impl BytePipe {
 /// State shared between the demux thread, the reader, and subscriptions.
 #[derive(Debug)]
 struct DemuxShared {
-    pipe: Arc<BytePipe>,
+    pipe: Arc<FramePipe>,
     subs: Mutex<HashMap<u32, Arc<SubShared>>>,
     alive: AtomicBool,
     /// Write half kept for teardown (`shutdown` unblocks the demux read).
@@ -298,62 +299,18 @@ impl SubShared {
 }
 
 /// The demux thread: owns the socket's read side, routes events to their
-/// subscriptions, forwards all other traffic (query replies, acks) into the
-/// pipe the synchronous path reads.
-fn demux_loop(mut stream: TcpStream, shared: Arc<DemuxShared>) {
+/// subscriptions, forwards every other frame (query replies, acks) into
+/// the pipe the synchronous path reads.
+fn demux_loop(stream: TcpStream, shared: Arc<DemuxShared>) {
     // Blocking reads: teardown goes through DemuxShared::shutdown.
     stream.set_read_timeout(None).ok();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut start = 0usize;
-    let mut scratch = vec![0u8; 64 * 1024];
-    'conn: loop {
-        loop {
-            if start == buf.len() {
-                buf.clear();
-                start = 0;
-            } else if start >= 64 * 1024 {
-                buf.drain(..start);
-                start = 0;
-            }
-            let avail = &buf[start..];
-            if avail.is_empty() {
-                break;
-            }
-            let magic = wire::MAGIC.to_le_bytes();
-            let prefix = avail.len().min(magic.len());
-            if avail[..prefix] == magic[..prefix] {
-                if avail.len() < wire::HEADER_LEN {
-                    break;
-                }
-                let Ok((kind, payload_len, crc)) = Frame::decode_header(avail) else {
-                    break 'conn; // corrupt stream: no resynchronization
-                };
-                let total = wire::HEADER_LEN + payload_len;
-                if avail.len() < total {
-                    break;
-                }
-                match Frame::decode_payload(kind, &avail[wire::HEADER_LEN..total], crc) {
-                    Ok(Frame::Event(event)) => shared.route(event),
-                    Ok(_) => shared.pipe.push(&avail[..total]),
-                    Err(_) => break 'conn,
-                }
-                start += total;
-            } else {
-                let Some(nl) = avail.iter().position(|&b| b == b'\n') else {
-                    if avail.len() > 64 * 1024 {
-                        break 'conn; // unterminated garbage
-                    }
-                    break;
-                };
-                shared.pipe.push(&avail[..=nl]);
-                start += nl + 1;
-            }
-        }
-        match stream.read(&mut scratch) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&scratch[..n]),
-            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
+    let mut frames = FrameReader::new(BufReader::with_capacity(64 * 1024, stream));
+    // EOF, a dead socket or a corrupt frame ends the connection: there is
+    // no resynchronization.
+    while let Ok(Some(frame)) = frames.read_frame() {
+        match frame {
+            Frame::Event(event) => shared.route(event),
+            other => shared.pipe.push(other),
         }
     }
     shared.close_all();
@@ -379,26 +336,39 @@ impl RemoteReader {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(REPLY_TIMEOUT)).ok();
         stream.set_write_timeout(Some(REPLY_TIMEOUT)).ok();
-        let reader = BufReader::new(ReplySource::Direct(stream.try_clone()?));
+        let source = ReplySource::Direct(FrameReader::new(BufReader::new(stream.try_clone()?)));
         Ok(Conn {
-            reader,
+            source,
             writer: stream,
             demux: None,
         })
     }
 
-    /// Sends `request` bytes (a query line or an encoded query frame) and
-    /// collects the response with `read`, reconnecting once if the cached
-    /// connection has gone stale. A failure on a demux-upgraded connection
-    /// tears the demux down too, closing its subscriptions — they must not
-    /// starve silently behind a dead socket.
+    /// Sends `request` bytes (one encoded frame) and collects the response
+    /// with `read`. A failure drops the connection; on a demuxed connection
+    /// it tears the demux down too, closing its subscriptions — they must
+    /// not starve silently behind a dead socket. A query then retries once
+    /// on a fresh connection. Subscription control is `pinned` to its
+    /// demuxed connection and never retried: replayed onto a reconnected
+    /// plain socket, it would make the collector push events into a reply
+    /// stream with no demux thread to split them out, corrupting every
+    /// later query.
     fn exchange<T>(
         &self,
+        pinned: Option<&Arc<DemuxShared>>,
         request: &[u8],
-        read: impl Fn(&mut BufReader<ReplySource>) -> Result<T>,
+        read: impl Fn(&mut ReplySource) -> Result<T>,
     ) -> Result<T> {
         let mut guard = self.conn.lock().unwrap_or_else(|e| e.into_inner());
         for attempt in 0..2 {
+            if let Some(demux) = pinned {
+                let bound = guard.as_ref().and_then(|conn| conn.demux.as_ref());
+                if !bound.is_some_and(|bound| Arc::ptr_eq(bound, demux)) {
+                    return Err(NetError::Protocol(
+                        "subscription connection was replaced mid-request".into(),
+                    ));
+                }
+            }
             if guard.is_none() {
                 *guard = Some(self.open()?);
             }
@@ -407,7 +377,7 @@ impl RemoteReader {
                 .writer
                 .write_all(request)
                 .map_err(NetError::from)
-                .and_then(|()| read(&mut conn.reader));
+                .and_then(|()| read(&mut conn.source));
             match outcome {
                 Ok(value) => return Ok(value),
                 Err(err) => {
@@ -415,49 +385,13 @@ impl RemoteReader {
                         demux.shutdown();
                     }
                     *guard = None; // drop the stale connection
-                    if attempt == 1 {
+                    if attempt == 1 || pinned.is_some() {
                         return Err(err);
                     }
                 }
             }
         }
         unreachable!("loop returns on success or second failure")
-    }
-
-    /// Like [`exchange`](Self::exchange), but pinned to a specific demuxed
-    /// connection and never retried: subscription control (`Subscribe` /
-    /// `Unsubscribe`) must not be replayed onto a reconnected plain socket
-    /// — the collector would then push events into a reply stream with no
-    /// demux thread to split them out, corrupting every later query.
-    fn exchange_on_demux<T>(
-        &self,
-        demux: &Arc<DemuxShared>,
-        request: &[u8],
-        read: impl Fn(&mut BufReader<ReplySource>) -> Result<T>,
-    ) -> Result<T> {
-        let mut guard = self.conn.lock().unwrap_or_else(|e| e.into_inner());
-        let conn = guard
-            .as_mut()
-            .filter(|conn| {
-                conn.demux
-                    .as_ref()
-                    .is_some_and(|bound| Arc::ptr_eq(bound, demux))
-            })
-            .ok_or_else(|| {
-                NetError::Protocol("subscription connection was replaced mid-request".into())
-            })?;
-        let outcome = conn
-            .writer
-            .write_all(request)
-            .map_err(NetError::from)
-            .and_then(|()| read(&mut conn.reader));
-        if outcome.is_err() {
-            if let Some(demux) = conn.demux.take() {
-                demux.shutdown();
-            }
-            *guard = None;
-        }
-        outcome
     }
 
     /// Upgrades the connection to demux mode (idempotent): spawns the demux
@@ -472,7 +406,7 @@ impl RemoteReader {
         let stream = TcpStream::connect(&self.addr)?;
         stream.set_nodelay(true).ok();
         stream.set_write_timeout(Some(REPLY_TIMEOUT)).ok();
-        let pipe = Arc::new(BytePipe::default());
+        let pipe = Arc::new(FramePipe::default());
         let shared = Arc::new(DemuxShared {
             pipe: Arc::clone(&pipe),
             subs: Mutex::new(HashMap::new()),
@@ -491,7 +425,7 @@ impl RemoteReader {
         // socket now serves interleaved polls and pushes.
         let mut conn = self.conn.lock().unwrap_or_else(|e| e.into_inner());
         *conn = Some(Conn {
-            reader: BufReader::new(ReplySource::Pipe(pipe)),
+            source: ReplySource::Pipe(pipe),
             writer: stream,
             demux: Some(Arc::clone(&shared)),
         });
@@ -540,11 +474,7 @@ impl RemoteReader {
             resume_from: 0,
         })
         .encode();
-        let ack = self.exchange_on_demux(&demux, &request, |conn| {
-            FrameReader::new(conn)
-                .read_frame()?
-                .ok_or(NetError::UnexpectedEof)
-        });
+        let ack = self.exchange(Some(&demux), &request, ReplySource::next_frame);
         let cleanup = |demux: &DemuxShared| {
             demux
                 .subs
@@ -590,122 +520,92 @@ impl RemoteReader {
         }
     }
 
-    /// Sends one binary query frame and reads one frame back, over the same
-    /// persistent connection the line queries use (the collector
-    /// disambiguates by the frame magic).
-    fn query_frame(&self, request: &Frame) -> Result<Frame> {
-        let bytes = request.encode();
-        self.exchange(&bytes, |conn| {
-            FrameReader::new(conn)
-                .read_frame()?
-                .ok_or(NetError::UnexpectedEof)
-        })
+    /// One [`Query`] → [`Reply`] round trip: the shared path of every query
+    /// method.
+    fn query(&self, query: Query) -> Result<Reply> {
+        let request = Frame::Query(query).encode();
+        self.exchange(None, &request, |source| read_reply(|| source.next_frame()))
     }
 
     /// Names of all applications the collector knows about.
     pub fn apps(&self) -> Result<Vec<String>> {
-        self.exchange(b"LIST\n", |conn| {
-            let header = read_line(conn)?;
-            let count: usize = header
-                .strip_prefix("APPS ")
-                .and_then(|n| n.trim().parse().ok())
-                .ok_or_else(|| NetError::BadResponse(header.clone()))?;
-            let mut names = Vec::with_capacity(count);
-            for _ in 0..count {
-                names.push(read_line(conn)?.trim().to_string());
-            }
-            expect_end(conn)?;
-            Ok(names)
-        })
+        match self.query(Query::List)? {
+            Reply::Apps(names) => Ok(names),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// Snapshot of one application, or `None` if the collector has never
-    /// seen it.
+    /// seen it — including any name the wire rules forbid, which no
+    /// collector can know (answered locally instead of sending a frame the
+    /// collector would reject).
     pub fn snapshot(&self, app: &str) -> Result<Option<AppSnapshot>> {
-        let command = format!("GET {app}\n");
-        self.exchange(command.as_bytes(), |conn| {
-            let line = read_line(conn)?;
-            if line.starts_with("ERR unknown app") {
-                return Ok(None);
-            }
-            parse_snapshot(line.trim()).map(Some)
-        })
+        if !wire::valid_app_name(app) {
+            return Ok(None);
+        }
+        match self.query(Query::Get { app: app.into() })? {
+            Reply::Snapshot(snap) => Ok(Some(snap)),
+            Reply::UnknownApp => Ok(None),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// The Prometheus text export.
     pub fn metrics(&self) -> Result<String> {
-        self.exchange(b"METRICS\n", |conn| {
-            let mut text = String::new();
-            loop {
-                let line = read_line(conn)?;
-                if line.trim() == "END" {
-                    return Ok(text);
-                }
-                text.push_str(&line);
-            }
-        })
+        match self.query(Query::Metrics)? {
+            Reply::Text(text) => Ok(text),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// Collector-wide counters (`STATS`): connection, frame and error
     /// totals plus the size of the reactor's I/O thread pool.
     pub fn stats(&self) -> Result<CollectorStats> {
-        self.exchange(b"STATS\n", |conn| {
-            let line = read_line(conn)?;
-            parse_stats(line.trim())
-        })
+        match self.query(Query::Stats)? {
+            Reply::Stats(stats) => Ok(stats),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// Round-trip liveness probe of the collector itself.
     pub fn ping(&self) -> Result<()> {
-        self.exchange(b"PING\n", |conn| {
-            let line = read_line(conn)?;
-            if line.trim() == "PONG" {
-                Ok(())
-            } else {
-                Err(NetError::BadResponse(line))
-            }
-        })
+        match self.query(Query::Ping)? {
+            Reply::Pong => Ok(()),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// The collector's retained history for `app`: the most recent `limit`
     /// samples (`0` = all retained), chronological, with the total ever
-    /// ingested. `None` if the collector has never seen the application —
-    /// including any name the wire rules forbid, which no collector can
-    /// know (answered locally, like [`snapshot`](Self::snapshot) answers
-    /// unknown apps, instead of sending a frame the collector would reject).
-    ///
-    /// Goes over the wire as a binary [`Frame::HistoryReq`] — one round
-    /// trip regardless of how many samples come back.
+    /// ingested. `None` if the collector has never seen the application
+    /// (wire-invalid names included, as with [`snapshot`](Self::snapshot)).
     pub fn history(&self, app: &str, limit: u32) -> Result<Option<HistoryChunk>> {
-        if !crate::wire::valid_app_name(app) {
+        if !wire::valid_app_name(app) {
             return Ok(None);
         }
-        match self.query_frame(&Frame::HistoryReq {
-            app: app.to_string(),
+        match self.query(Query::History {
+            app: app.into(),
             limit,
         })? {
-            Frame::History(chunk) => Ok(chunk.known.then_some(chunk)),
-            other => Err(NetError::BadResponse(format!(
-                "expected a history frame, got {other:?}"
-            ))),
+            Reply::History(chunk) => Ok(Some(chunk)),
+            Reply::UnknownApp => Ok(None),
+            other => Err(unexpected(other)),
         }
     }
 
-    /// The collector's windowed health classification of `app`
-    /// ([`Frame::HealthReq`]), or `None` if the collector has never seen
-    /// the application (wire-invalid names included, as with
-    /// [`history`](Self::history)).
+    /// The collector's windowed health classification of `app`, or `None`
+    /// if the collector has never seen the application (wire-invalid names
+    /// included, as with [`snapshot`](Self::snapshot)).
     pub fn health(&self, app: &str) -> Result<Option<HealthReport>> {
-        if !crate::wire::valid_app_name(app) {
+        if !wire::valid_app_name(app) {
             return Ok(None);
         }
-        match self.query_frame(&Frame::HealthReq {
-            app: app.to_string(),
+        match self.query(Query::Health {
+            app: Some(app.into()),
         })? {
-            Frame::Health(health) => Ok(health.known.then_some(health.report)),
-            other => Err(NetError::BadResponse(format!(
-                "expected a health frame, got {other:?}"
-            ))),
+            Reply::Health { report, .. } => Ok(Some(report)),
+            Reply::UnknownApp => Ok(None),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -822,11 +722,10 @@ impl Subscription {
             sub_id: self.sub_id,
         }
         .encode();
-        match self.reader.exchange_on_demux(&self.demux, &request, |conn| {
-            FrameReader::new(conn)
-                .read_frame()?
-                .ok_or(NetError::UnexpectedEof)
-        })? {
+        match self
+            .reader
+            .exchange(Some(&self.demux), &request, ReplySource::next_frame)?
+        {
             Frame::SubAck { .. } => Ok(()),
             other => Err(NetError::BadResponse(format!(
                 "expected an unsubscribe ack, got {other:?}"
@@ -857,185 +756,9 @@ impl Drop for Subscription {
     }
 }
 
-fn read_line(conn: &mut BufReader<ReplySource>) -> Result<String> {
-    let mut line = String::new();
-    let n = conn.read_line(&mut line)?;
-    if n == 0 {
-        return Err(NetError::UnexpectedEof);
-    }
-    Ok(line)
-}
-
-fn expect_end(conn: &mut BufReader<ReplySource>) -> Result<()> {
-    let line = read_line(conn)?;
-    if line.trim() == "END" {
-        Ok(())
-    } else {
-        Err(NetError::BadResponse(line))
-    }
-}
-
-/// Parses the single-line `GET` response produced by
-/// [`format_snapshot`](crate::collector::format_snapshot).
-pub fn parse_snapshot(line: &str) -> Result<AppSnapshot> {
-    let bad = |why: &str| NetError::BadResponse(format!("{why}: {line}"));
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("APP") {
-        return Err(bad("missing APP prefix"));
-    }
-    let mut fields: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
-    for part in parts {
-        let (key, value) = part.split_once('=').ok_or_else(|| bad("field without ="))?;
-        fields.insert(key, value);
-    }
-    let field = |key: &str| fields.get(key).copied().ok_or_else(|| bad(key));
-    let num = |key: &str| -> Result<u64> {
-        field(key)?.parse().map_err(|_| bad(key))
-    };
-    let target = match field("target")? {
-        "na" => None,
-        pair => {
-            let (min, max) = pair.split_once(',').ok_or_else(|| bad("target"))?;
-            Some((
-                min.parse().map_err(|_| bad("target min"))?,
-                max.parse().map_err(|_| bad("target max"))?,
-            ))
-        }
-    };
-    let optional = |key: &str| -> Result<Option<u64>> {
-        match field(key)? {
-            "na" => Ok(None),
-            v => v.parse().map(Some).map_err(|_| bad(key)),
-        }
-    };
-    let rate_bps = match field("rate")? {
-        "na" => None,
-        v => Some(v.parse().map_err(|_| bad("rate"))?),
-    };
-    Ok(AppSnapshot {
-        app: field("name")?.to_string(),
-        pid: num("pid")? as u32,
-        window: num("window")? as u32,
-        total_beats: num("total")?,
-        local_beats: num("local")?,
-        rate_bps,
-        mean_interval_ns: None, // not carried on the wire; query METRICS
-        target,
-        producer_dropped: num("dropped")?,
-        last_timestamp_ns: optional("last_ns")?,
-        connections: num("connections")? as u32,
-        alive: field("alive")? == "1",
-    })
-}
-
-/// Collector-wide counters, as served by the `STATS` query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollectorStats {
-    /// Applications currently registered.
-    pub apps: u64,
-    /// Producer connections accepted since the collector started.
-    pub connections: u64,
-    /// Frames ingested since start.
-    pub frames: u64,
-    /// Producer connections dropped for protocol violations.
-    pub protocol_errors: u64,
-    /// Size of the reactor's fixed I/O thread pool.
-    pub io_threads: u64,
-    /// Connections evicted by the idle timer.
-    pub evicted: u64,
-    /// Observer requests answered (query lines + binary query frames;
-    /// subscription control and pushed events not included).
-    pub queries: u64,
-    /// Push subscriptions currently registered.
-    pub subscriptions: u64,
-    /// Events enqueued toward subscribers since start.
-    pub events: u64,
-    /// Events shed because a subscriber queue was full.
-    pub events_dropped: u64,
-    /// Collector uptime in seconds.
-    pub uptime_s: f64,
-    /// Reactor shards the collector resolved at startup (0 when talking to
-    /// a pre-sharding collector that does not report the field).
-    pub shards: u64,
-    /// Beats ingested on a shard other than the application's home shard —
-    /// a debug counter that should stay at zero.
-    pub cross_shard: u64,
-    /// Federation child links this collector has ever seen (parent tiers;
-    /// 0 when talking to a pre-federation or leaf collector).
-    pub origins: u64,
-    /// Federation child links currently connected.
-    pub origins_up: u64,
-    /// 1 while this collector's own uplink to its parent is established
-    /// (leaf/mid tiers; 0 when the collector has no upstream).
-    pub upstream_connected: u64,
-    /// Beats this collector forwarded to its parent.
-    pub upstream_forwarded: u64,
-    /// Beats shed from the upstream tap (exactly accounted upward).
-    pub upstream_dropped: u64,
-    /// Uplink re-establishments after the first connect.
-    pub upstream_reconnects: u64,
-}
-
-/// Parses the single-line `STATS` response.
-pub fn parse_stats(line: &str) -> Result<CollectorStats> {
-    let bad = |why: &str| NetError::BadResponse(format!("{why}: {line}"));
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("COLLECTOR") {
-        return Err(bad("missing COLLECTOR prefix"));
-    }
-    // Collect `key=value` tokens; anything else (a bare word, some future
-    // marker) is skipped so newer collectors can extend the line without
-    // breaking older readers. Unknown keys land in the map and are simply
-    // never looked up.
-    let mut fields: std::collections::HashMap<&str, &str> = std::collections::HashMap::new();
-    for part in parts {
-        if let Some((key, value)) = part.split_once('=') {
-            fields.insert(key, value);
-        }
-    }
-    let num = |key: &str| -> Result<u64> {
-        fields
-            .get(key)
-            .copied()
-            .ok_or_else(|| bad(key))?
-            .parse()
-            .map_err(|_| bad(key))
-    };
-    // Subscription-era fields default to zero so lines from older
-    // collectors still parse.
-    let opt = |key: &str| -> u64 {
-        fields
-            .get(key)
-            .copied()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    Ok(CollectorStats {
-        apps: num("apps")?,
-        connections: num("connections")?,
-        frames: num("frames")?,
-        protocol_errors: num("errors")?,
-        io_threads: num("io_threads")?,
-        evicted: num("evicted")?,
-        queries: opt("queries"),
-        subscriptions: opt("subs"),
-        events: opt("events"),
-        events_dropped: opt("events_dropped"),
-        shards: opt("shards"),
-        cross_shard: opt("cross_shard"),
-        origins: opt("origins"),
-        origins_up: opt("origins_up"),
-        upstream_connected: opt("upstream_connected"),
-        upstream_forwarded: opt("upstream_forwarded"),
-        upstream_dropped: opt("upstream_dropped"),
-        upstream_reconnects: opt("upstream_reconnects"),
-        uptime_s: fields
-            .get("uptime_s")
-            .copied()
-            .ok_or_else(|| bad("uptime_s"))?
-            .parse()
-            .map_err(|_| bad("uptime_s"))?,
-    })
+/// The error for a reply of the wrong kind.
+fn unexpected(reply: Reply) -> NetError {
+    NetError::BadResponse(format!("unexpected reply {reply:?}"))
 }
 
 /// One application as seen through a collector — an
@@ -1222,114 +945,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_line_roundtrip() {
-        let snap = AppSnapshot {
-            app: "x264".into(),
-            pid: 41,
-            window: 20,
-            total_beats: 500,
-            local_beats: 3,
-            rate_bps: Some(29.970029970029973),
-            mean_interval_ns: None,
-            target: Some((30.0, 35.0)),
-            producer_dropped: 12,
-            last_timestamp_ns: Some(123_456_789),
-            connections: 1,
-            alive: true,
-        };
-        let line = crate::collector::format_snapshot(&snap);
-        let parsed = parse_snapshot(&line).unwrap();
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn snapshot_line_with_missing_data() {
-        let snap = AppSnapshot {
-            app: "fresh".into(),
-            pid: 0,
-            window: 2,
-            total_beats: 0,
-            local_beats: 0,
-            rate_bps: None,
-            mean_interval_ns: None,
-            target: None,
-            producer_dropped: 0,
-            last_timestamp_ns: None,
-            connections: 0,
-            alive: false,
-        };
-        let line = crate::collector::format_snapshot(&snap);
-        let parsed = parse_snapshot(&line).unwrap();
-        assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn malformed_snapshot_lines_are_rejected() {
-        for line in [
-            "",
-            "NOTAPP name=x",
-            "APP name=x pid=notanumber total=1 local=0 rate=na target=na dropped=0 last_ns=na window=2 connections=0 alive=0",
-            "APP name=x",
-        ] {
-            assert!(parse_snapshot(line).is_err(), "line: {line:?}");
-        }
-    }
-
-    #[test]
-    fn stats_line_roundtrip() {
-        let line = "COLLECTOR apps=3 connections=280 frames=9000 errors=1 io_threads=2 evicted=5 uptime_s=12.500";
-        let stats = parse_stats(line).unwrap();
-        assert_eq!(stats.apps, 3);
-        assert_eq!(stats.connections, 280);
-        assert_eq!(stats.frames, 9000);
-        assert_eq!(stats.protocol_errors, 1);
-        assert_eq!(stats.io_threads, 2);
-        assert_eq!(stats.evicted, 5);
-        assert!((stats.uptime_s - 12.5).abs() < 1e-9);
-        // Fields this collector vintage does not emit default to zero.
-        assert_eq!(stats.shards, 0);
-        assert_eq!(stats.cross_shard, 0);
-    }
-
-    #[test]
-    fn stats_parser_tolerates_future_format_extensions() {
-        // A collector two releases from now appends fields this reader has
-        // never heard of — and even a bare flag token. Required fields must
-        // still parse; everything unknown is ignored.
-        let line = "COLLECTOR apps=1 connections=2 frames=3 errors=0 io_threads=4 \
-                    evicted=0 queries=1 subs=0 events=0 events_dropped=0 \
-                    uptime_s=1.5 shards=4 cross_shard=0 numa_nodes=2 \
-                    io_uring=1 experimental_flag";
-        let stats = parse_stats(line).unwrap();
-        assert_eq!(stats.apps, 1);
-        assert_eq!(stats.connections, 2);
-        assert_eq!(stats.frames, 3);
-        assert_eq!(stats.io_threads, 4);
-        assert_eq!(stats.shards, 4);
-        assert_eq!(stats.cross_shard, 0);
-        assert!((stats.uptime_s - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn malformed_stats_lines_are_rejected() {
-        for line in [
-            "",
-            "NOTCOLLECTOR apps=1",
-            "COLLECTOR apps=x connections=1 frames=1 errors=0 io_threads=2 evicted=0 uptime_s=1",
-            "COLLECTOR apps=1",
-        ] {
-            assert!(parse_stats(line).is_err(), "line: {line:?}");
-        }
-    }
-
-    #[test]
     fn wire_invalid_names_answer_none_locally() {
         // No collector could ever know a wire-invalid name (the decoder
         // rejects it), so the client answers None without a round trip —
         // the listener here never even accepts.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let reader = RemoteReader::connect(listener.local_addr().unwrap().to_string()).unwrap();
-        for bad in ["two words", "", "quo\"te", "line\nbreak"] {
+        for bad in ["two words", "", "quo\"te", "line\nbreak", "a\nGET b"] {
+            assert!(reader.snapshot(bad).unwrap().is_none(), "{bad:?}");
             assert!(reader.history(bad, 0).unwrap().is_none(), "{bad:?}");
             assert!(reader.health(bad).unwrap().is_none(), "{bad:?}");
         }

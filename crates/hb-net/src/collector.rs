@@ -1,7 +1,8 @@
 //! The heartbeat collector daemon: accepts many concurrent producer
 //! connections, maintains a sharded per-application registry of server-side
-//! rates and goals, and serves observers over a line-based query port
-//! (including a Prometheus-style text export).
+//! rates and goals, and serves observers over a query port (text lines
+//! for humans, binary frames for clients, both answered through
+//! [`crate::query::execute`]; `METRICS` is a Prometheus-style text export).
 //!
 //! The collector is the network realization of the paper's "external
 //! observer": applications keep calling `HB_heartbeat` as always, a
@@ -35,9 +36,8 @@
 //! on the hot path), which feeds the windowed anomaly detector of
 //! [`crate::health`]: observers can ask not just "how fast is this app now"
 //! but "was it `healthy | degraded | stalled` over the last window" — via
-//! the `HISTORY`/`HEALTH` line commands, binary
-//! [`Frame::HistoryReq`]/[`Frame::HealthReq`] queries, or the
-//! `hb_app_health` Prometheus gauge.
+//! the `HISTORY`/`HEALTH` queries (as lines or [`Frame::Query`] frames),
+//! or the `hb_app_health` Prometheus gauge.
 //!
 //! Observers need not poll at all: a [`Frame::Subscribe`] on the query
 //! port opens a **push subscription** (application glob, interest mask,
@@ -67,13 +67,13 @@ use heartbeats::observe::Interest;
 
 use crate::frame::{FrameDecoder, FrameEvent};
 use crate::health::{self, HealthConfig, HealthReport, HistoryRing, HistorySample};
+use crate::query::{execute, CollectorStats, Query, Reply, MAX_HISTORY_SAMPLES};
 use crate::reactor::{Handler, ListenerSpec, OutBuf, Reactor, ReactorConfig};
 use crate::subscribe::{LocalSubscription, SubEntry, SubscriberQueue, SubscriptionRegistry};
-use crate::telemetry::{self, Level, PipelineTelemetry, ReactorThreads};
+use crate::telemetry::{Level, PipelineTelemetry, ReactorThreads};
 use crate::upstream::{UpstreamConfig, UpstreamLink, UpstreamRelay, UpstreamStats, UpstreamTap};
 use crate::wire::{
-    EventFrame, EventPayload, Frame, HealthFrame, HistoryChunk, SubStatus, SubscribeReq, WireBeat,
-    MAX_HISTORY_SAMPLES, MAX_NAME_LEN, VERSION,
+    EventFrame, EventPayload, Frame, SubStatus, SubscribeReq, WireBeat, MAX_NAME_LEN, VERSION,
 };
 
 /// Tuning knobs for a [`Collector`].
@@ -99,9 +99,8 @@ pub struct CollectorConfig {
     pub idle_timeout: Duration,
     /// Samples retained per application in its [`HistoryRing`]
     /// (preallocated at registration; `0` disables history and health
-    /// windowing entirely). Clamped to [`MAX_HISTORY_SAMPLES`] so a full
-    /// ring always fits a single [`Frame::History`] reply — "all retained"
-    /// can then never be silently truncated on the wire.
+    /// windowing entirely). Clamped to [`MAX_HISTORY_SAMPLES`], so a full
+    /// ring always answers a `HISTORY` query in a single reply frame.
     pub history_capacity: usize,
     /// Windowed anomaly detector tuning (health window, jitter threshold,
     /// tag-as-sequence checks).
@@ -421,7 +420,7 @@ impl CollectorState {
     /// The telemetry instance for the reactor shard the calling thread
     /// serves (instance 0 off reactor threads) — stages record into it
     /// without cross-shard histogram contention.
-    fn stage_telemetry(&self) -> &PipelineTelemetry {
+    pub(crate) fn stage_telemetry(&self) -> &PipelineTelemetry {
         let shard = crate::reactor::current_shard().unwrap_or(0);
         &self.shard_telemetry[shard % self.shard_telemetry.len()]
     }
@@ -1516,6 +1515,11 @@ impl CollectorState {
         self.queries_total.load(Ordering::Relaxed) // ordering: monitoring read; staleness is acceptable
     }
 
+    /// Counts one answered observer request.
+    pub(crate) fn count_query(&self) {
+        self.queries_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+    }
+
     /// Events enqueued toward subscribers since start.
     pub fn events_total(&self) -> u64 {
         self.subs.event_counters().0
@@ -1537,22 +1541,37 @@ impl CollectorState {
         self.reactor_shards
     }
 
-    /// One consistent reading of every collector-wide counter, taken for a
-    /// whole `STATS` or `/metrics` render. The event pair comes from
-    /// [`SubscriptionRegistry::event_counters`], so a scrape racing an
-    /// ingest can never report more drops than enqueues.
-    pub fn counters(&self) -> CollectorCounters {
-        let (events_total, events_dropped_total) = self.subs.event_counters();
-        CollectorCounters {
-            connections_total: self.connections_total(),
-            frames_total: self.frames_total(),
+    /// One consistent reading of every collector-wide counter — what
+    /// `STATS`, the binary stats reply and the Prometheus export all read.
+    /// The event pair comes from [`SubscriptionRegistry::event_counters`],
+    /// so a scrape racing an ingest can never report more drops than
+    /// enqueues.
+    pub fn stats(&self) -> CollectorStats {
+        let (events, events_dropped) = self.subs.event_counters();
+        let origins = self.origins();
+        let upstream = self.upstream_stats.as_deref();
+        CollectorStats {
+            apps: self.app_names().len() as u64,
+            connections: self.connections_total(),
+            frames: self.frames_total(),
             protocol_errors: self.protocol_errors(),
-            queries_total: self.queries_total(),
-            evicted_total: self.evicted_total(),
-            subscriptions: self.subs.active(),
-            events_total,
-            events_dropped_total,
-            uptime: self.started.elapsed(),
+            io_threads: self.io_threads() as u64,
+            evicted: self.evicted_total(),
+            queries: self.queries_total(),
+            subscriptions: self.subs.active() as u64,
+            events,
+            events_dropped,
+            uptime_s: self.started.elapsed().as_secs_f64(),
+            cross_shard: self.cross_shard_ingest(),
+            origins: origins.len() as u64,
+            origins_up: origins.iter().filter(|o| o.connected).count() as u64,
+            has_upstream: upstream.is_some(),
+            upstream_connected: upstream.map_or(0, |s| u64::from(s.connected())),
+            upstream_forwarded: upstream.map_or(0, UpstreamStats::forwarded_beats),
+            upstream_dropped: self.upstream_tap.as_ref().map_or(0, |tap| tap.dropped_beats()),
+            upstream_events: upstream.map_or(0, UpstreamStats::forwarded_events),
+            upstream_reconnects: upstream.map_or(0, UpstreamStats::reconnects),
+            upstream_retransmits: upstream.map_or(0, UpstreamStats::retransmits),
         }
     }
 
@@ -1631,33 +1650,33 @@ impl CollectorState {
                 report.status.as_u8()
             ));
         }
-        let counters = self.counters();
+        let stats = self.stats();
         out.push_str("# HELP hb_collector_connections_total Producer connections accepted since start.\n");
         out.push_str("# TYPE hb_collector_connections_total counter\n");
         out.push_str(&format!(
             "hb_collector_connections_total {}\n",
-            counters.connections_total
+            stats.connections
         ));
         out.push_str("# HELP hb_collector_frames_total Frames ingested since start.\n");
         out.push_str("# TYPE hb_collector_frames_total counter\n");
         out.push_str(&format!(
             "hb_collector_frames_total {}\n",
-            counters.frames_total
+            stats.frames
         ));
         out.push_str("# HELP hb_collector_protocol_errors_total Connections dropped for protocol violations.\n");
         out.push_str("# TYPE hb_collector_protocol_errors_total counter\n");
         out.push_str(&format!(
             "hb_collector_protocol_errors_total {}\n",
-            counters.protocol_errors
+            stats.protocol_errors
         ));
         out.push_str("# HELP hb_collector_io_threads Reactor I/O shards serving all sockets (resolved count).\n");
         out.push_str("# TYPE hb_collector_io_threads gauge\n");
-        out.push_str(&format!("hb_collector_io_threads {}\n", self.io_threads()));
+        out.push_str(&format!("hb_collector_io_threads {}\n", stats.io_threads));
         out.push_str("# HELP hb_collector_cross_shard_ingest_total Ingest calls that ran off the app's home reactor shard (steady state: 0).\n");
         out.push_str("# TYPE hb_collector_cross_shard_ingest_total counter\n");
         out.push_str(&format!(
             "hb_collector_cross_shard_ingest_total {}\n",
-            self.cross_shard_ingest()
+            stats.cross_shard
         ));
         // Per-reactor-shard attribution: sums equal the aggregate counters.
         let shard_counters = self.shard_counters();
@@ -1697,77 +1716,75 @@ impl CollectorState {
         out.push_str("# TYPE hb_collector_idle_evicted_total counter\n");
         out.push_str(&format!(
             "hb_collector_idle_evicted_total {}\n",
-            counters.evicted_total
+            stats.evicted
         ));
         out.push_str("# HELP hb_collector_queries_total Observer requests answered.\n");
         out.push_str("# TYPE hb_collector_queries_total counter\n");
         out.push_str(&format!(
             "hb_collector_queries_total {}\n",
-            counters.queries_total
+            stats.queries
         ));
         out.push_str("# HELP hb_collector_subscriptions Push subscriptions currently registered.\n");
         out.push_str("# TYPE hb_collector_subscriptions gauge\n");
         out.push_str(&format!(
             "hb_collector_subscriptions {}\n",
-            counters.subscriptions
+            stats.subscriptions
         ));
         out.push_str("# HELP hb_collector_events_total Events enqueued toward subscribers.\n");
         out.push_str("# TYPE hb_collector_events_total counter\n");
         out.push_str(&format!(
             "hb_collector_events_total {}\n",
-            counters.events_total
+            stats.events
         ));
         out.push_str("# HELP hb_collector_events_dropped_total Events shed because a subscriber queue was full.\n");
         out.push_str("# TYPE hb_collector_events_dropped_total counter\n");
         out.push_str(&format!(
             "hb_collector_events_dropped_total {}\n",
-            counters.events_dropped_total
+            stats.events_dropped
         ));
         out.push_str("# HELP hb_collector_uptime_seconds Seconds since the collector started.\n");
         out.push_str("# TYPE hb_collector_uptime_seconds gauge\n");
         out.push_str(&format!(
             "hb_collector_uptime_seconds {:.3}\n",
-            counters.uptime.as_secs_f64()
+            stats.uptime_s
         ));
         // Leaf side of a federation tree: the uplink relay's counters.
-        if let Some(stats) = &self.upstream_stats {
+        if stats.has_upstream {
             out.push_str("# HELP hb_collector_upstream_connected 1 while the uplink to the parent collector is established.\n");
             out.push_str("# TYPE hb_collector_upstream_connected gauge\n");
             out.push_str(&format!(
                 "hb_collector_upstream_connected {}\n",
-                u8::from(stats.connected())
+                stats.upstream_connected
             ));
             out.push_str("# HELP hb_collector_upstream_forwarded_beats_total Beats forwarded to the parent (first transmissions).\n");
             out.push_str("# TYPE hb_collector_upstream_forwarded_beats_total counter\n");
             out.push_str(&format!(
                 "hb_collector_upstream_forwarded_beats_total {}\n",
-                stats.forwarded_beats()
+                stats.upstream_forwarded
             ));
             out.push_str("# HELP hb_collector_upstream_dropped_beats_total Beats shed from the upstream tap while the parent was unreachable or slow.\n");
             out.push_str("# TYPE hb_collector_upstream_dropped_beats_total counter\n");
             out.push_str(&format!(
                 "hb_collector_upstream_dropped_beats_total {}\n",
-                self.upstream_tap
-                    .as_ref()
-                    .map_or(0, |tap| tap.dropped_beats())
+                stats.upstream_dropped
             ));
             out.push_str("# HELP hb_collector_upstream_forwarded_events_total Propagated-subscription events forwarded to the parent.\n");
             out.push_str("# TYPE hb_collector_upstream_forwarded_events_total counter\n");
             out.push_str(&format!(
                 "hb_collector_upstream_forwarded_events_total {}\n",
-                stats.forwarded_events()
+                stats.upstream_events
             ));
             out.push_str("# HELP hb_collector_upstream_reconnects_total Uplink re-establishments after the first connect.\n");
             out.push_str("# TYPE hb_collector_upstream_reconnects_total counter\n");
             out.push_str(&format!(
                 "hb_collector_upstream_reconnects_total {}\n",
-                stats.reconnects()
+                stats.upstream_reconnects
             ));
             out.push_str("# HELP hb_collector_upstream_retransmits_total Rollup events re-sent after a reconnect.\n");
             out.push_str("# TYPE hb_collector_upstream_retransmits_total counter\n");
             out.push_str(&format!(
                 "hb_collector_upstream_retransmits_total {}\n",
-                stats.retransmits()
+                stats.upstream_retransmits
             ));
         }
         // Uplink admission control: refusals by reason. Rendered always
@@ -2000,31 +2017,6 @@ impl CollectorState {
         }
         rows
     }
-}
-
-/// A consistent point-in-time reading of the collector-wide counters,
-/// produced by [`CollectorState::counters`] and consumed whole by `STATS`
-/// and the Prometheus export.
-#[derive(Debug, Clone)]
-pub struct CollectorCounters {
-    /// Producer connections accepted since start.
-    pub connections_total: u64,
-    /// Frames ingested since start.
-    pub frames_total: u64,
-    /// Connections dropped for protocol violations.
-    pub protocol_errors: u64,
-    /// Observer requests answered.
-    pub queries_total: u64,
-    /// Connections evicted by the idle timer.
-    pub evicted_total: u64,
-    /// Push subscriptions currently registered.
-    pub subscriptions: usize,
-    /// Events enqueued toward subscribers (always >= the drop count below).
-    pub events_total: u64,
-    /// Events shed because a subscriber queue was full.
-    pub events_dropped_total: u64,
-    /// Time since the collector started.
-    pub uptime: Duration,
 }
 
 /// Parent-side view of one federation child link (see
@@ -2578,22 +2570,21 @@ const MAX_QUERY_LINE: usize = 64 * 1024;
 /// rate; the reactor buffers replies, so a client flooding `METRICS\n`
 /// lines without reading could otherwise balloon the outbound buffer within
 /// a single read burst. Beyond the cap the connection is dropped. Sized to
-/// hold at least two maximal binary `History` replies plus line chatter, so
-/// a legitimate client pipelining a few full-ring queries is never cut off
+/// hold at least two maximal `Reply` frames plus line chatter, so a
+/// legitimate client pipelining a few full-ring queries is never cut off
 /// (the reactor's own `max_outbound` still bounds a truly unread backlog).
 const MAX_PENDING_REPLIES: usize =
     2 * (crate::wire::MAX_PAYLOAD + crate::wire::HEADER_LEN) + MAX_QUERY_LINE;
 
 /// Per-connection state machine for one observer.
 ///
-/// The query port speaks two protocols on the same socket, disambiguated by
+/// The query port speaks two codecs on the same socket, disambiguated by
 /// the first bytes of every message: a message starting with the frame
-/// magic (`HBWT`) is a binary wire-protocol query
-/// ([`Frame::HistoryReq`] / [`Frame::HealthReq`], answered with
-/// [`Frame::History`] / [`Frame::Health`]); anything else is a
-/// newline-terminated line command (`HELP` lists them). The two may be
-/// freely interleaved on one connection — [`RemoteReader`](crate::RemoteReader)
-/// does exactly that.
+/// magic (`HBWT`) is a binary frame ([`Frame::Query`], answered with
+/// [`Frame::Reply`] fragments, or subscription control); anything else is
+/// a newline-terminated line command (`HELP` lists them). Both forms parse
+/// into one [`Query`] answered by the one [`execute`], and they may be
+/// freely interleaved on one connection.
 struct ObserverHandler {
     state: Arc<CollectorState>,
     buf: Vec<u8>,
@@ -2652,40 +2643,10 @@ impl ObserverHandler {
                     status: SubStatus::Ok,
                 }
             }
-            Frame::HistoryReq { app, limit } => {
-                let telemetry = self.state.stage_telemetry();
-                let started = telemetry.start();
-                self.state.queries_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                let found = self.state.history(&app, limit as usize);
-                let known = found.is_some();
-                let (total, mut samples) = found.unwrap_or_default();
-                // Rings are clamped to MAX_HISTORY_SAMPLES at creation, so
-                // this is a pure backstop against a future unclamped path.
-                if samples.len() > MAX_HISTORY_SAMPLES {
-                    samples.drain(..samples.len() - MAX_HISTORY_SAMPLES);
-                }
-                let reply = Frame::History(HistoryChunk {
-                    app,
-                    known,
-                    total,
-                    samples,
-                });
-                telemetry.observe(&telemetry.query, started);
-                reply
-            }
-            Frame::HealthReq { app } => {
-                let telemetry = self.state.stage_telemetry();
-                let started = telemetry.start();
-                self.state.queries_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
-                let report = self.state.health(&app);
-                let known = report.is_some();
-                let reply = Frame::Health(HealthFrame {
-                    app,
-                    known,
-                    report: report.unwrap_or_else(HealthReport::no_signal),
-                });
-                telemetry.observe(&telemetry.query, started);
-                reply
+            Frame::Query(query) => {
+                let reply = execute(&self.state, query);
+                reply.encode_frames(out.vec_mut());
+                return !matches!(reply, Reply::Bye);
             }
             // Producer frames (and unsolicited responses) do not belong on
             // the query port.
@@ -2810,283 +2771,22 @@ impl Handler for ObserverHandler {
     }
 }
 
-/// Formats one application snapshot as the single-line `GET` response.
-pub fn format_snapshot(snap: &AppSnapshot) -> String {
-    let rate = snap
-        .rate_bps
-        .map(|r| r.to_string())
-        .unwrap_or_else(|| "na".into());
-    let target = snap
-        .target
-        .map(|(min, max)| format!("{min},{max}"))
-        .unwrap_or_else(|| "na".into());
-    let last = snap
-        .last_timestamp_ns
-        .map(|t| t.to_string())
-        .unwrap_or_else(|| "na".into());
-    format!(
-        "APP name={} pid={} total={} local={} rate={} target={} dropped={} last_ns={} window={} connections={} alive={}",
-        snap.app,
-        snap.pid,
-        snap.total_beats,
-        snap.local_beats,
-        rate,
-        target,
-        snap.producer_dropped,
-        last,
-        snap.window,
-        snap.connections,
-        u8::from(snap.alive),
-    )
-}
-
-/// Formats one health report as the single-line `HEALTH` response.
-pub fn format_health(app: &str, report: &HealthReport) -> String {
-    let reasons = if report.reasons.is_empty() {
-        "none".to_string()
-    } else {
-        report
-            .reasons
-            .iter()
-            .map(|r| r.as_str())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let opt = |v: Option<f64>| v.map(|x| x.to_string()).unwrap_or_else(|| "na".into());
-    format!(
-        "HEALTH app={app} status={} reasons={reasons} beats={} rate={} jitter={} \
-         missing={} duplicated={} reordered={} silent_ms={}",
-        report.status,
-        report.window_beats,
-        opt(report.window_rate_bps),
-        opt(report.jitter_cv),
-        report.missing,
-        report.duplicated,
-        report.reordered,
-        report.silent_ns / 1_000_000,
-    )
-}
-
-/// Formats one history sample as an `S` line of the `HISTORY` response.
-fn format_sample(sample: &HistorySample) -> String {
-    let rate = sample
-        .rate_bps
-        .map(|r| r.to_string())
-        .unwrap_or_else(|| "na".into());
-    format!(
-        "S seq={} ts={} tag={} interval={} rate={rate}",
-        sample.seq, sample.timestamp_ns, sample.tag, sample.interval_ns,
-    )
-}
-
-/// The `HELP` response: every query-port command, one per line.
-const HELP_TEXT: &str = "\
-HELP                 this command list
-PING                 liveness probe; answers PONG
-VERSION              the collector's wire-protocol version (VERSION <n>)
-LIST                 application names (APPS <n>, one name per line, END)
-GET <app>            one-line snapshot of an application
-HISTORY <app> [n]    recent beat samples, newest n (default all retained), END-terminated
-HEALTH [app]         windowed health classification; without <app>, all applications, END-terminated
-METRICS              Prometheus text export, END-terminated
-STATS                one-line collector-wide counters
-HEATMAP [b] [w_ms]   app x time-bucket beat-rate matrix from the history rings (default 8 buckets x 1000 ms), END-terminated
-TRACE [n]            newest n in-process journal entries (default 64), END-terminated
-QUIT                 close the connection
-binary               wire-protocol query frames (magic HBWT) are answered in kind; Subscribe opens a push subscription; see docs/WIRE.md";
-
-/// Executes one query command; returns `false` when the connection should
-/// close.
+/// Answers one command line through [`execute`]; returns `false` when the
+/// connection should close. A blank line is skipped; a line that does not
+/// parse is answered with its `ERR` reply and, like any request, counted.
 fn handle_query(line: &str, state: &CollectorState, out: &mut impl Write) -> io::Result<bool> {
-    let telemetry = state.stage_telemetry();
-    let started = telemetry.start();
-    let keep_open = handle_query_inner(line, state, out);
-    telemetry.observe(&telemetry.query, started);
-    keep_open
-}
-
-/// The un-instrumented body of [`handle_query`].
-fn handle_query_inner(
-    line: &str,
-    state: &CollectorState,
-    out: &mut impl Write,
-) -> io::Result<bool> {
-    let mut parts = line.split_whitespace();
-    let command = parts.next();
-    // VERSION is a diagnostic, not an observation poll; it must not disturb
-    // the "zero requests while pushed" accounting.
-    if command.is_some() && command != Some("VERSION") {
-        state.queries_total.fetch_add(1, Ordering::Relaxed); // ordering: relaxed counter; read only for monitoring totals
+    if line.is_empty() {
+        return Ok(true);
     }
-    match command {
-        None => Ok(true), // blank line
-        Some("PING") => {
-            writeln!(out, "PONG")?;
-            Ok(true)
+    match Query::parse_line(line) {
+        Ok(query) => {
+            let reply = execute(state, query);
+            reply.write_line(out)?;
+            Ok(!matches!(reply, Reply::Bye))
         }
-        Some("VERSION") => {
-            writeln!(out, "VERSION {}", VERSION)?;
-            Ok(true)
-        }
-        Some("HELP") => {
-            writeln!(out, "{HELP_TEXT}")?;
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("HISTORY") => {
-            let app = parts.next();
-            let limit = parts.next().and_then(|n| n.parse::<usize>().ok());
-            match (app, limit) {
-                (Some(app), limit) => {
-                    match state.history(app, limit.unwrap_or(0)) {
-                        Some((total, samples)) => {
-                            writeln!(
-                                out,
-                                "HISTORY app={app} total={total} count={}",
-                                samples.len()
-                            )?;
-                            for sample in &samples {
-                                writeln!(out, "{}", format_sample(sample))?;
-                            }
-                            writeln!(out, "END")?;
-                        }
-                        None => writeln!(out, "ERR unknown app")?,
-                    }
-                    Ok(true)
-                }
-                (None, _) => {
-                    writeln!(out, "ERR usage: HISTORY <app> [limit]")?;
-                    Ok(true)
-                }
-            }
-        }
-        Some("HEALTH") => {
-            match parts.next() {
-                Some(app) => match state.health(app) {
-                    Some(report) => writeln!(out, "{}", format_health(app, &report))?,
-                    None => writeln!(out, "ERR unknown app")?,
-                },
-                None => {
-                    for (app, report) in state.healths() {
-                        writeln!(out, "{}", format_health(&app, &report))?;
-                    }
-                    writeln!(out, "END")?;
-                }
-            }
-            Ok(true)
-        }
-        Some("LIST") => {
-            let names = state.app_names();
-            writeln!(out, "APPS {}", names.len())?;
-            for name in names {
-                writeln!(out, "{name}")?;
-            }
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("GET") => {
-            match parts.next().and_then(|app| state.snapshot(app)) {
-                Some(snap) => writeln!(out, "{}", format_snapshot(&snap))?,
-                None => writeln!(out, "ERR unknown app")?,
-            }
-            Ok(true)
-        }
-        Some("METRICS") => {
-            out.write_all(state.prometheus().as_bytes())?;
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("STATS") => {
-            let counters = state.counters();
-            let origins = state.origins();
-            write!(
-                out,
-                "COLLECTOR apps={} connections={} frames={} errors={} io_threads={} evicted={} \
-                 queries={} subs={} events={} events_dropped={} uptime_s={:.3} shards={} \
-                 cross_shard={} origins={} origins_up={}",
-                state.app_names().len(),
-                counters.connections_total,
-                counters.frames_total,
-                counters.protocol_errors,
-                state.io_threads(),
-                counters.evicted_total,
-                counters.queries_total,
-                counters.subscriptions,
-                counters.events_total,
-                counters.events_dropped_total,
-                counters.uptime.as_secs_f64(),
-                state.io_threads(),
-                state.cross_shard_ingest(),
-                origins.len(),
-                origins.iter().filter(|o| o.connected).count(),
-            )?;
-            if let Some(stats) = state.upstream_stats() {
-                write!(
-                    out,
-                    " upstream_connected={} upstream_forwarded={} upstream_dropped={} \
-                     upstream_events={} upstream_reconnects={} upstream_retransmits={}",
-                    u8::from(stats.connected()),
-                    stats.forwarded_beats(),
-                    state.upstream_tap().map_or(0, |tap| tap.dropped_beats()),
-                    stats.forwarded_events(),
-                    stats.reconnects(),
-                    stats.retransmits(),
-                )?;
-            }
-            writeln!(out)?;
-            Ok(true)
-        }
-        Some("HEATMAP") => {
-            let buckets = parts
-                .next()
-                .and_then(|n| n.parse::<usize>().ok())
-                .unwrap_or(8)
-                .clamp(1, 64);
-            let width_ms = parts
-                .next()
-                .and_then(|n| n.parse::<u64>().ok())
-                .filter(|&w| w > 0)
-                .unwrap_or(1000);
-            let rows = state.heatmap(buckets, Duration::from_millis(width_ms));
-            writeln!(
-                out,
-                "HEATMAP apps={} buckets={buckets} width_ms={width_ms}",
-                rows.len()
-            )?;
-            for (app, rates) in &rows {
-                let rates = rates
-                    .iter()
-                    .map(|r| format!("{r:.3}"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                writeln!(out, "R app={app} rates={rates}")?;
-            }
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("TRACE") => {
-            let limit = parts
-                .next()
-                .and_then(|n| n.parse::<usize>().ok())
-                .unwrap_or(64);
-            let entries = telemetry::journal().latest(limit);
-            writeln!(out, "TRACE count={}", entries.len())?;
-            for entry in &entries {
-                writeln!(
-                    out,
-                    "J ts_ms={} level={} {}",
-                    entry.ts_ms, entry.level, entry.message
-                )?;
-            }
-            writeln!(out, "END")?;
-            Ok(true)
-        }
-        Some("QUIT") => {
-            writeln!(out, "BYE")?;
-            Ok(false)
-        }
-        Some(other) => {
-            writeln!(out, "ERR unknown command {other} (try HELP)")?;
+        Err(message) => {
+            state.count_query();
+            writeln!(out, "ERR {message}")?;
             Ok(true)
         }
     }
@@ -3369,14 +3069,14 @@ mod tests {
         // A line query, then two binary queries, then another line — all
         // interleaved on one connection, split at awkward byte boundaries.
         let mut input = b"PING\n".to_vec();
-        Frame::HistoryReq {
+        Frame::Query(Query::History {
             app: "bin-app".into(),
             limit: 2,
-        }
+        })
         .encode_into(&mut input);
-        Frame::HealthReq {
-            app: "ghost".into(),
-        }
+        Frame::Query(Query::Health {
+            app: Some("ghost".into()),
+        })
         .encode_into(&mut input);
         input.extend_from_slice(b"STATS\n");
 
@@ -3385,30 +3085,24 @@ mod tests {
         }
         let out: Vec<u8> = buf.iter_slices().flatten().copied().collect();
 
-        // Replies: PONG line, History frame, Health frame, STATS line.
+        // Replies: PONG line, History reply, unknown-app reply, STATS line.
         let text_start = String::from_utf8_lossy(&out[..5]);
         assert_eq!(text_start, "PONG\n");
         let mut decoder = FrameDecoder::new();
         decoder.push(&out[5..]);
-        match decoder.next_frame().unwrap().unwrap() {
-            Frame::History(chunk) => {
-                assert!(chunk.known);
+        let mut next = || decoder.next_frame()?.ok_or(crate::NetError::UnexpectedEof);
+        match crate::query::read_reply(&mut next).unwrap() {
+            Reply::History(chunk) => {
                 assert_eq!(chunk.app, "bin-app");
                 assert_eq!(chunk.total, 3);
                 assert_eq!(chunk.samples.len(), 2, "limit respected");
             }
             other => panic!("expected history, got {other:?}"),
         }
-        match decoder.next_frame().unwrap().unwrap() {
-            Frame::Health(health) => {
-                assert!(!health.known);
-                assert_eq!(
-                    health.report.status,
-                    crate::health::HealthStatus::NoSignal
-                );
-            }
-            other => panic!("expected health, got {other:?}"),
-        }
+        assert_eq!(
+            crate::query::read_reply(&mut next).unwrap(),
+            Reply::UnknownApp
+        );
         let tail = out.len() - decoder.buffered();
         let rest = String::from_utf8_lossy(&out[tail..]);
         assert!(rest.starts_with("COLLECTOR "), "rest: {rest:?}");
@@ -3428,7 +3122,6 @@ mod tests {
 
     #[test]
     fn history_capacity_is_clamped_to_one_frame() {
-        use crate::wire::MAX_HISTORY_SAMPLES;
         let state = CollectorState::new(CollectorConfig {
             history_capacity: MAX_HISTORY_SAMPLES + 1000,
             ..CollectorConfig::default()
@@ -3455,14 +3148,17 @@ mod tests {
             MAX_HISTORY_SAMPLES,
             "ring clamped so every reply fits one History frame"
         );
-        // And the reply really does encode.
-        let frame = Frame::History(HistoryChunk {
+        // And the reply really does encode as one frame.
+        let mut bytes = Vec::new();
+        Reply::History(crate::query::HistoryChunk {
             app: "big".into(),
-            known: true,
             total,
             samples,
-        });
-        assert!(Frame::decode(&frame.encode()).is_ok());
+        })
+        .encode_frames(&mut bytes);
+        let (frame, used) = Frame::decode(&bytes).unwrap();
+        assert_eq!(used, bytes.len());
+        assert!(matches!(frame, Frame::Reply { more: false, .. }));
     }
 
     #[test]
@@ -3608,8 +3304,8 @@ mod tests {
     #[test]
     fn stats_and_metrics_share_one_consistent_event_reading() {
         let state = CollectorState::new(CollectorConfig::default());
-        let counters = state.counters();
-        assert!(counters.events_total >= counters.events_dropped_total);
+        let stats = state.stats();
+        assert!(stats.events >= stats.events_dropped);
         let mut out = Vec::new();
         assert!(handle_query("STATS", &state, &mut out).unwrap());
         let text = String::from_utf8(out).unwrap();

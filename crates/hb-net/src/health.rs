@@ -191,7 +191,7 @@ impl HistoryRing {
 ///
 /// The numeric discriminants are stable: they are the values exported by the
 /// `hb_app_health` Prometheus gauge and carried in
-/// [`Frame::Health`](crate::wire::Frame::Health) responses. Higher is
+/// [`Reply::Health`](crate::query::Reply::Health) answers. Higher is
 /// healthier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]

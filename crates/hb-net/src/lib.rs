@@ -21,7 +21,9 @@
 //! * [`Collector`] — a daemon accepting many concurrent producers,
 //!   maintaining a sharded per-app registry of windowed rates
 //!   (server-side [`heartbeats::MovingRate`]) and goals, and serving a
-//!   line-based query port with a Prometheus-style text export.
+//!   query port with a Prometheus-style text export.
+//! * [`query`] — one typed [`Query`]/[`Reply`] model and one
+//!   [`query::execute`] behind both query-port codecs (lines, frames).
 //! * [`RemoteReader`] / [`RemoteApp`] — the observer-side client;
 //!   `RemoteApp` implements [`heartbeats::Observe`] (which carries blanket
 //!   `control::RateSource`/`HealthSource` impls) so a
@@ -74,6 +76,7 @@ mod error;
 pub mod faultnet;
 pub mod frame;
 pub mod health;
+pub mod query;
 pub mod reactor;
 pub mod subscribe;
 pub mod telemetry;
@@ -83,7 +86,7 @@ pub mod wire;
 pub use auth::{hmac_sha256, sha256};
 pub use backend::{TcpBackend, TcpBackendConfig};
 pub use faultnet::{FaultConfig, FaultProxy, FaultStats};
-pub use client::{CollectorStats, RemoteApp, RemoteReader, Subscription};
+pub use client::{RemoteApp, RemoteReader, Subscription};
 pub use collector::{
     AppSnapshot, Collector, CollectorConfig, CollectorState, OriginRollup, OriginSnapshot,
     UplinkRejectReason,
@@ -93,6 +96,7 @@ pub use frame::{FrameDecoder, FrameReader, FrameWriter};
 pub use health::{
     HealthConfig, HealthReason, HealthReport, HealthStatus, HistoryRing, HistorySample,
 };
+pub use query::{CollectorStats, HistoryChunk, Query, Reply};
 pub use reactor::{Reactor, ReactorConfig};
 pub use subscribe::{LocalSubscription, SubscriptionRegistry};
 pub use upstream::{UpstreamConfig, UpstreamRelay, UpstreamStats, UpstreamTap};
@@ -101,6 +105,6 @@ pub use telemetry::{
     ThreadStats, ThreadStatsSnapshot,
 };
 pub use wire::{
-    BatchEncoder, BeatBatch, EventFrame, EventPayload, Frame, HealthFrame, Hello, HistoryChunk,
-    SubStatus, SubscribeReq, WireBeat,
+    BatchEncoder, BeatBatch, EventFrame, EventPayload, Frame, Hello, SubStatus, SubscribeReq,
+    WireBeat,
 };

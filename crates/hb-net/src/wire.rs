@@ -54,11 +54,9 @@
 //!
 //! Observer ⇄ collector, on the query port:
 //!
-//! * [`Frame::HistoryReq`] / [`Frame::History`] — ask for / return the
-//!   collector's bounded history ring for one application
-//!   ([`HistorySample`] records).
-//! * [`Frame::HealthReq`] / [`Frame::Health`] — ask for / return the
-//!   windowed anomaly classification ([`HealthReport`]).
+//! * [`Frame::Query`] / [`Frame::Reply`] — one typed [`Query`] and its
+//!   [`Reply`](crate::query::Reply), split into `more`-flagged fragments
+//!   when it outgrows one frame (see [`crate::query`]).
 //!
 //! Push subscriptions, on the query port:
 //!
@@ -75,7 +73,8 @@ use heartbeats::{BeatScope, BeatThreadId, HeartbeatRecord, Tag};
 
 use crate::crc::crc32;
 use crate::error::{NetError, Result};
-use crate::health::{HealthReason, HealthReport, HealthStatus, HistorySample};
+use crate::health::{HealthReason, HealthStatus};
+use crate::query::Query;
 
 /// Frame magic: `HBWT` interpreted as a little-endian u32.
 pub const MAGIC: u32 = 0x5457_4248;
@@ -105,23 +104,14 @@ pub const MAX_NAME_LEN: usize = 256;
 /// [`MAX_NAME_LEN`] to leave room for the application part.
 pub const MAX_NODE_LEN: usize = 64;
 
-/// Encoded size of one [`HistorySample`] inside a [`Frame::History`]
-/// payload.
-pub const SAMPLE_LEN: usize = 40;
-
-/// Most history samples a single [`Frame::History`] can carry within
-/// [`MAX_PAYLOAD`] (the fixed prefix plus a maximal name leave room for the
-/// rest).
-pub const MAX_HISTORY_SAMPLES: usize = (MAX_PAYLOAD - 15 - MAX_NAME_LEN) / SAMPLE_LEN;
-
 const KIND_HELLO: u8 = 1;
 // Kind 2 (fixed-width beats) is retired and reserved: never reuse it.
 const KIND_TARGET: u8 = 3;
 const KIND_BYE: u8 = 4;
-const KIND_HISTORY_REQ: u8 = 5;
-const KIND_HISTORY: u8 = 6;
-const KIND_HEALTH_REQ: u8 = 7;
-const KIND_HEALTH: u8 = 8;
+const KIND_QUERY: u8 = 5;
+const KIND_REPLY: u8 = 6;
+// Kinds 7 and 8 (the per-query HealthReq/Health pair) are retired and
+// reserved: never reuse them.
 const KIND_HELLO_ACK: u8 = 9;
 const KIND_BEATS: u8 = 10;
 const KIND_SUBSCRIBE: u8 = 11;
@@ -147,7 +137,7 @@ pub const AUTH_LEN: usize = 32;
 
 /// True if `kind` is a defined frame kind.
 fn is_known_kind(kind: u8) -> bool {
-    matches!(kind, KIND_HELLO | KIND_TARGET..=KIND_NODE_AUTH)
+    matches!(kind, KIND_HELLO | KIND_TARGET..=KIND_REPLY | KIND_HELLO_ACK..=KIND_NODE_AUTH)
 }
 
 /// True if `kind` is the beat-batch frame kind — the frames [`BeatsView`]
@@ -308,36 +298,6 @@ pub struct BeatBatch {
     pub beats: Vec<WireBeat>,
 }
 
-/// A slice of one application's collector-side history ring, as returned by
-/// a [`Frame::HistoryReq`] query.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HistoryChunk {
-    /// The application the history belongs to.
-    pub app: String,
-    /// False when the collector has never seen the application (the chunk
-    /// is then empty but well-formed).
-    pub known: bool,
-    /// Samples ever pushed into the ring, including those already
-    /// overwritten — `total - samples.len()` is the number lost to the
-    /// ring's bound.
-    pub total: u64,
-    /// The retained samples, chronological.
-    pub samples: Vec<HistorySample>,
-}
-
-/// A health classification for one application, as returned by a
-/// [`Frame::HealthReq`] query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthFrame {
-    /// The application the report describes.
-    pub app: String,
-    /// False when the collector has never seen the application (the report
-    /// is then [`HealthReport::no_signal`]).
-    pub known: bool,
-    /// The windowed anomaly detector's verdict.
-    pub report: HealthReport,
-}
-
 /// A push-subscription request, as carried by [`Frame::Subscribe`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubscribeReq {
@@ -485,23 +445,18 @@ pub enum Frame {
     },
     /// Orderly end of stream.
     Bye,
-    /// Query: the history ring of one application (`limit == 0` = all
-    /// retained samples, otherwise the most recent `limit`).
-    HistoryReq {
-        /// Application name.
-        app: String,
-        /// Most recent samples wanted; `0` means all retained.
-        limit: u32,
+    /// Observer → collector, on the query port: one typed query.
+    Query(Query),
+    /// Collector → observer: one fragment of the encoded
+    /// [`Reply`](crate::query::Reply) to a [`Frame::Query`]. Every fragment
+    /// but the last sets `more`; [`crate::query::read_reply`] reassembles
+    /// and decodes them.
+    Reply {
+        /// True when further fragments of the same reply follow.
+        more: bool,
+        /// This fragment's share of the reply body.
+        body: Vec<u8>,
     },
-    /// Response to [`Frame::HistoryReq`].
-    History(HistoryChunk),
-    /// Query: the windowed health classification of one application.
-    HealthReq {
-        /// Application name.
-        app: String,
-    },
-    /// Response to [`Frame::HealthReq`].
-    Health(HealthFrame),
     /// Collector → producer, answering a [`Frame::Hello`]: names the
     /// collector's protocol version. The frame decodes whatever byte it
     /// carries; a producer treats anything but [`VERSION`] as a failed
@@ -722,46 +677,35 @@ impl Iterator for BeatsIter<'_> {
 impl ExactSizeIterator for BeatsIter<'_> {}
 // hb-lint: end-hot-path
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
+pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Reads a little-endian u16 at `at`; `None` when out of bounds.
-fn get_u16(bytes: &[u8], at: usize) -> Option<u16> {
-    Some(u16::from_le_bytes(bytes.get(at..at + 2)?.try_into().ok()?))
+/// The `N` bytes at `at`; running past the end is a truncated-payload
+/// protocol error.
+pub(crate) fn read_le<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N]> {
+    let field = bytes.get(at..).and_then(<[u8]>::first_chunk).copied();
+    field.ok_or_else(|| NetError::Protocol(format!("{N}-byte field at {at} truncated")))
 }
 
-/// Reads a little-endian u32 at `at`; `None` when out of bounds.
-fn get_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
+pub(crate) fn read_u16(bytes: &[u8], at: usize) -> Result<u16> {
+    read_le(bytes, at).map(u16::from_le_bytes)
 }
 
-/// Reads a little-endian u64 at `at`; `None` when out of bounds.
-fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
+pub(crate) fn read_u32(bytes: &[u8], at: usize) -> Result<u32> {
+    read_le(bytes, at).map(u32::from_le_bytes)
 }
 
-/// [`get_u16`] with a truncated-payload protocol error for decode paths.
-fn read_u16(bytes: &[u8], at: usize) -> Result<u16> {
-    get_u16(bytes, at).ok_or_else(|| NetError::Protocol(format!("u16 field at {at} truncated")))
-}
-
-/// [`get_u32`] with a truncated-payload protocol error for decode paths.
-fn read_u32(bytes: &[u8], at: usize) -> Result<u32> {
-    get_u32(bytes, at).ok_or_else(|| NetError::Protocol(format!("u32 field at {at} truncated")))
-}
-
-/// [`get_u64`] with a truncated-payload protocol error for decode paths.
-fn read_u64(bytes: &[u8], at: usize) -> Result<u64> {
-    get_u64(bytes, at).ok_or_else(|| NetError::Protocol(format!("u64 field at {at} truncated")))
+pub(crate) fn read_u64(bytes: &[u8], at: usize) -> Result<u64> {
+    read_le(bytes, at).map(u64::from_le_bytes)
 }
 
 /// Appends `v` as an LEB128 varint (7 value bits per byte, high bit =
@@ -906,7 +850,7 @@ fn decode_compact_beat(
 /// beyond [`MAX_NAME_LEN`] cannot decode (every caller pre-validates; the
 /// header's own length prefix means even a bogus name only yields a
 /// rejected frame, never a desynchronized stream).
-fn put_name(buf: &mut Vec<u8>, name: &str) {
+pub(crate) fn put_name(buf: &mut Vec<u8>, name: &str) {
     let bytes = name.as_bytes();
     debug_assert!(bytes.len() <= MAX_NAME_LEN, "unvalidated name on the wire");
     put_u16(buf, bytes.len() as u16);
@@ -915,7 +859,7 @@ fn put_name(buf: &mut Vec<u8>, name: &str) {
 
 /// Decodes a length-prefixed application name at `at`, returning the name
 /// and the offset just past it.
-fn get_name(payload: &[u8], at: usize) -> Result<(String, usize)> {
+pub(crate) fn get_name(payload: &[u8], at: usize) -> Result<(String, usize)> {
     if payload.len() < at + 2 {
         return Err(NetError::Protocol("name length truncated".into()));
     }
@@ -970,13 +914,13 @@ fn get_pattern(payload: &[u8], at: usize) -> Result<(String, usize)> {
 
 /// Encodes an optional finite f64 as its bit pattern, with NaN as the
 /// `None` sentinel.
-fn put_opt_f64(buf: &mut Vec<u8>, value: Option<f64>) {
+pub(crate) fn put_opt_f64(buf: &mut Vec<u8>, value: Option<f64>) {
     put_u64(buf, value.unwrap_or(f64::NAN).to_bits());
 }
 
 /// Decodes the optional-f64 convention: NaN means `None`; any other
 /// non-finite value is a protocol violation.
-fn get_opt_f64(bytes: &[u8], at: usize) -> Result<Option<f64>> {
+pub(crate) fn get_opt_f64(bytes: &[u8], at: usize) -> Result<Option<f64>> {
     let value = f64::from_bits(read_u64(bytes, at)?);
     if value.is_nan() {
         Ok(None)
@@ -985,25 +929,6 @@ fn get_opt_f64(bytes: &[u8], at: usize) -> Result<Option<f64>> {
     } else {
         Err(NetError::Protocol("non-finite wire value".into()))
     }
-}
-
-fn encode_sample(buf: &mut Vec<u8>, sample: &HistorySample) {
-    put_u64(buf, sample.seq);
-    put_u64(buf, sample.timestamp_ns);
-    put_u64(buf, sample.tag);
-    put_u64(buf, sample.interval_ns);
-    put_opt_f64(buf, sample.rate_bps);
-}
-
-fn decode_sample(bytes: &[u8]) -> Result<HistorySample> {
-    debug_assert_eq!(bytes.len(), SAMPLE_LEN);
-    Ok(HistorySample {
-        seq: read_u64(bytes, 0)?,
-        timestamp_ns: read_u64(bytes, 8)?,
-        tag: read_u64(bytes, 16)?,
-        interval_ns: read_u64(bytes, 24)?,
-        rate_bps: get_opt_f64(bytes, 32)?,
-    })
 }
 
 /// Appends a complete [`Frame::Event`] payload body to `buf`. Shared by
@@ -1067,10 +992,8 @@ impl Frame {
             Frame::Beats(_) => KIND_BEATS,
             Frame::Target { .. } => KIND_TARGET,
             Frame::Bye => KIND_BYE,
-            Frame::HistoryReq { .. } => KIND_HISTORY_REQ,
-            Frame::History(_) => KIND_HISTORY,
-            Frame::HealthReq { .. } => KIND_HEALTH_REQ,
-            Frame::Health(_) => KIND_HEALTH,
+            Frame::Query(_) => KIND_QUERY,
+            Frame::Reply { .. } => KIND_REPLY,
             Frame::HelloAck { .. } => KIND_HELLO_ACK,
             Frame::Subscribe(_) => KIND_SUBSCRIBE,
             Frame::SubAck { .. } => KIND_SUB_ACK,
@@ -1105,35 +1028,10 @@ impl Frame {
                 put_u64(buf, max_bps.to_bits());
             }
             Frame::Bye => {}
-            Frame::HistoryReq { app, limit } => {
-                put_u32(buf, *limit);
-                put_name(buf, app);
-            }
-            Frame::History(chunk) => {
-                buf.push(u8::from(chunk.known));
-                put_u32(buf, chunk.samples.len() as u32);
-                put_u64(buf, chunk.total);
-                put_name(buf, &chunk.app);
-                for sample in &chunk.samples {
-                    encode_sample(buf, sample);
-                }
-            }
-            Frame::HealthReq { app } => {
-                put_name(buf, app);
-            }
-            Frame::Health(health) => {
-                let report = &health.report;
-                buf.push(u8::from(health.known));
-                buf.push(report.status.as_u8());
-                put_u16(buf, HealthReason::pack(&report.reasons));
-                put_u32(buf, report.window_beats);
-                put_u32(buf, report.missing);
-                put_u32(buf, report.duplicated);
-                put_u32(buf, report.reordered);
-                put_u64(buf, report.silent_ns);
-                put_opt_f64(buf, report.window_rate_bps);
-                put_opt_f64(buf, report.jitter_cv);
-                put_name(buf, &health.app);
+            Frame::Query(query) => query.encode_payload(buf),
+            Frame::Reply { more, body } => {
+                buf.push(u8::from(*more));
+                buf.extend_from_slice(body);
             }
             Frame::HelloAck { max_version } => {
                 buf.push(*max_version);
@@ -1330,81 +1228,14 @@ impl Frame {
                 }
                 Ok(Frame::Bye)
             }
-            KIND_HISTORY_REQ => {
-                if payload.len() < 6 {
-                    return Err(NetError::Protocol("history request truncated".into()));
-                }
-                let limit = read_u32(payload, 0)?;
-                let (app, end) = get_name(payload, 4)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("history request trailing bytes".into()));
-                }
-                Ok(Frame::HistoryReq { app, limit })
-            }
-            KIND_HISTORY => {
-                if payload.len() < 15 {
-                    return Err(NetError::Protocol("history payload truncated".into()));
-                }
-                let known = payload[0] != 0; // hb-lint: allow(index): payload.len() >= 15 checked at the top of the arm
-                let count = read_u32(payload, 1)? as usize;
-                let total = read_u64(payload, 5)?;
-                let (app, samples_at) = get_name(payload, 13)?;
-                if payload.len() != samples_at + count * SAMPLE_LEN {
-                    return Err(NetError::Protocol(format!(
-                        "history of {count} samples should be {} bytes, got {}",
-                        samples_at + count * SAMPLE_LEN,
-                        payload.len()
-                    )));
-                }
-                let mut samples = Vec::with_capacity(count);
-                for i in 0..count {
-                    let at = samples_at + i * SAMPLE_LEN;
-                    samples.push(decode_sample(&payload[at..at + SAMPLE_LEN])?); // hb-lint: allow(index): at + SAMPLE_LEN <= payload.len(): exact length checked above
-                }
-                Ok(Frame::History(HistoryChunk {
-                    app,
-                    known,
-                    total,
-                    samples,
-                }))
-            }
-            KIND_HEALTH_REQ => {
-                let (app, end) = get_name(payload, 0)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("health request trailing bytes".into()));
-                }
-                Ok(Frame::HealthReq { app })
-            }
-            KIND_HEALTH => {
-                const FIXED: usize = 44;
-                if payload.len() < FIXED + 2 {
-                    return Err(NetError::Protocol("health payload truncated".into()));
-                }
-                let known = payload[0] != 0; // hb-lint: allow(index): payload.len() checked at the top of the arm
-                let status = HealthStatus::from_u8(payload[1]).ok_or_else(|| { // hb-lint: allow(index): payload.len() checked at the top of the arm
-                    NetError::Protocol(format!("invalid health status byte {}", payload[1])) // hb-lint: allow(index): payload.len() checked at the top of the arm
-                })?;
-                let reasons = HealthReason::unpack(read_u16(payload, 2)?);
-                let (app, end) = get_name(payload, FIXED)?;
-                if end != payload.len() {
-                    return Err(NetError::Protocol("health payload trailing bytes".into()));
-                }
-                Ok(Frame::Health(HealthFrame {
-                    app,
-                    known,
-                    report: HealthReport {
-                        status,
-                        reasons,
-                        window_beats: read_u32(payload, 4)?,
-                        missing: read_u32(payload, 8)?,
-                        duplicated: read_u32(payload, 12)?,
-                        reordered: read_u32(payload, 16)?,
-                        silent_ns: read_u64(payload, 20)?,
-                        window_rate_bps: get_opt_f64(payload, 28)?,
-                        jitter_cv: get_opt_f64(payload, 36)?,
-                    },
-                }))
-            }
+            KIND_QUERY => Ok(Frame::Query(Query::decode_payload(payload)?)),
+            KIND_REPLY => match payload.split_first() {
+                Some((&flags, body)) if flags <= 1 => Ok(Frame::Reply {
+                    more: flags == 1,
+                    body: body.to_vec(),
+                }),
+                _ => Err(NetError::Protocol("reply fragment flags byte is missing or invalid".into())),
+            },
             KIND_HELLO_ACK => {
                 if payload.len() != 1 {
                     return Err(NetError::Protocol(format!(
@@ -1825,6 +1656,7 @@ impl BatchEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{read_reply, HistoryChunk, Reply, MAX_HISTORY_SAMPLES};
 
     fn beat(seq: u64, scope: BeatScope) -> WireBeat {
         WireBeat {
@@ -2136,17 +1968,46 @@ mod tests {
         assert!(matches!(frame, Frame::Beats(b) if b.beats.len() == full));
     }
 
+    /// Encodes `reply` as frames and reassembles it from them.
+    fn reply_roundtrip(reply: &Reply) -> Result<Reply> {
+        let mut bytes = Vec::new();
+        reply.encode_frames(&mut bytes);
+        decode_reply(&bytes)
+    }
+
+    /// Reassembles one reply from encoded frame bytes.
+    fn decode_reply(bytes: &[u8]) -> Result<Reply> {
+        let mut at = 0;
+        read_reply(|| {
+            let (frame, used) = Frame::decode(&bytes[at..])?;
+            at += used;
+            Ok(frame)
+        })
+    }
+
     #[test]
     fn history_and_health_frames_roundtrip() {
-        use crate::health::{HealthReason, HealthReport, HealthStatus, HistorySample};
-        let frames = [
-            Frame::HistoryReq {
+        use crate::health::{HealthReport, HistorySample};
+        let queries = [
+            Query::History {
                 app: "x264".into(),
                 limit: 128,
             },
-            Frame::History(HistoryChunk {
+            Query::Health {
+                app: Some("dedup".into()),
+            },
+            Query::Health { app: None },
+        ];
+        for query in queries {
+            let bytes = Frame::Query(query.clone()).encode();
+            assert_eq!(bytes[4], VERSION);
+            let (decoded, used) = Frame::decode(&bytes).unwrap();
+            assert_eq!(used, bytes.len());
+            assert_eq!(decoded, Frame::Query(query));
+        }
+        let replies = [
+            Reply::History(HistoryChunk {
                 app: "x264".into(),
-                known: true,
                 total: 5_000,
                 samples: vec![
                     HistorySample {
@@ -2165,16 +2026,8 @@ mod tests {
                     },
                 ],
             }),
-            Frame::History(HistoryChunk {
-                app: "ghost".into(),
-                known: false,
-                total: 0,
-                samples: vec![],
-            }),
-            Frame::HealthReq { app: "dedup".into() },
-            Frame::Health(HealthFrame {
+            Reply::Health {
                 app: "dedup".into(),
-                known: true,
                 report: HealthReport {
                     status: HealthStatus::Degraded,
                     reasons: vec![HealthReason::RateBelowTarget, HealthReason::JitterSpike],
@@ -2186,19 +2039,11 @@ mod tests {
                     reordered: 1,
                     silent_ns: 250_000_000,
                 },
-            }),
-            Frame::Health(HealthFrame {
-                app: "ghost".into(),
-                known: false,
-                report: HealthReport::no_signal(),
-            }),
+            },
+            Reply::UnknownApp,
         ];
-        for frame in frames {
-            let bytes = frame.encode();
-            assert_eq!(bytes[4], VERSION);
-            let (decoded, used) = Frame::decode(&bytes).unwrap();
-            assert_eq!(used, bytes.len());
-            assert_eq!(decoded, frame);
+        for reply in replies {
+            assert_eq!(reply_roundtrip(&reply).unwrap(), reply);
         }
     }
 
@@ -2226,17 +2071,11 @@ mod tests {
                 max_bps: 2.0,
             },
             Frame::Bye,
-            Frame::HistoryReq {
-                app: "cam".into(),
-                limit: 0,
+            Frame::Query(Query::Ping),
+            Frame::Reply {
+                more: false,
+                body: vec![1],
             },
-            Frame::History(HistoryChunk::default()),
-            Frame::HealthReq { app: "cam".into() },
-            Frame::Health(HealthFrame {
-                app: "cam".into(),
-                known: false,
-                report: HealthReport::no_signal(),
-            }),
             Frame::HelloAck {
                 max_version: VERSION,
             },
@@ -2279,7 +2118,10 @@ mod tests {
 
     #[test]
     fn v2_kind_in_v1_header_is_rejected() {
-        let mut bytes = Frame::HealthReq { app: "app".into() }.encode();
+        let mut bytes = Frame::Query(Query::Health {
+            app: Some("app".into()),
+        })
+        .encode();
         bytes[4] = 1;
         assert!(matches!(
             Frame::decode(&bytes),
@@ -2287,9 +2129,10 @@ mod tests {
         ));
     }
 
-    /// Versions 1 and 2 and the fixed-width beats kind are retired: a
-    /// header claiming either old version is refused whatever its kind, and
-    /// kind 2 is unknown even under the current version.
+    /// Versions 1 and 2, the fixed-width beats kind and the per-query
+    /// HealthReq/Health kinds are retired: a header claiming either old
+    /// version is refused whatever its kind, and kinds 2, 7 and 8 are
+    /// unknown even under the current version.
     #[test]
     fn retired_versions_and_kind_2_are_rejected() {
         for version in [1u8, 2] {
@@ -2306,15 +2149,30 @@ mod tests {
             Frame::decode(&bytes),
             Err(NetError::Protocol(msg)) if msg.contains("unknown frame kind 2")
         ));
+        // A well-formed retired HealthReq for "app" (kind 7), and the same
+        // bytes under the retired Health kind (8).
+        for kind in [7u8, 8] {
+            let bytes = raw_frame(VERSION, kind, &[3, 0, b'a', b'p', b'p']);
+            assert!(matches!(
+                Frame::decode(&bytes),
+                Err(NetError::Protocol(msg)) if msg.contains(&format!("unknown frame kind {kind}"))
+            ));
+        }
+    }
+
+    /// Rewrites the payload CRC of the frame at the front of `bytes` after
+    /// a test corrupted its payload.
+    fn fix_crc(bytes: &mut [u8]) {
+        let crc = crate::crc::crc32(&bytes[HEADER_LEN..]);
+        bytes[10..14].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
     fn infinite_rate_in_sample_is_rejected() {
-        let frame = Frame::History(HistoryChunk {
+        let reply = Reply::History(HistoryChunk {
             app: "x".into(),
-            known: true,
             total: 1,
-            samples: vec![HistorySample {
+            samples: vec![crate::health::HistorySample {
                 seq: 0,
                 timestamp_ns: 0,
                 tag: 0,
@@ -2322,59 +2180,57 @@ mod tests {
                 rate_bps: Some(1.0),
             }],
         });
-        let mut bytes = frame.encode();
+        let mut bytes = Vec::new();
+        reply.encode_frames(&mut bytes);
         // The rate is the final 8 bytes of the only sample.
         let at = bytes.len() - 8;
         bytes[at..].copy_from_slice(&f64::INFINITY.to_bits().to_le_bytes());
-        let crc = crate::crc::crc32(&bytes[HEADER_LEN..]);
-        bytes[10..14].copy_from_slice(&crc.to_le_bytes());
+        fix_crc(&mut bytes);
         assert!(matches!(
-            Frame::decode(&bytes),
+            decode_reply(&bytes),
             Err(NetError::Protocol(msg)) if msg.contains("non-finite")
         ));
     }
 
     #[test]
     fn invalid_health_status_byte_is_rejected() {
-        let frame = Frame::Health(HealthFrame {
+        let reply = Reply::Health {
             app: "x".into(),
-            known: true,
-            report: HealthReport::no_signal(),
-        });
-        let mut bytes = frame.encode();
-        bytes[HEADER_LEN + 1] = 200; // status byte
-        let crc = crate::crc::crc32(&bytes[HEADER_LEN..]);
-        bytes[10..14].copy_from_slice(&crc.to_le_bytes());
+            report: crate::health::HealthReport::no_signal(),
+        };
+        let mut bytes = Vec::new();
+        reply.encode_frames(&mut bytes);
+        bytes[HEADER_LEN + 2] = 200; // after the fragment flags and reply tag
+        fix_crc(&mut bytes);
         assert!(matches!(
-            Frame::decode(&bytes),
+            decode_reply(&bytes),
             Err(NetError::Protocol(msg)) if msg.contains("status")
         ));
     }
 
     #[test]
     fn history_count_mismatch_is_rejected() {
-        let frame = Frame::History(HistoryChunk {
+        let reply = Reply::History(HistoryChunk {
             app: "x".into(),
-            known: true,
             total: 1,
             samples: vec![],
         });
-        let mut bytes = frame.encode();
-        // Claim one sample while carrying none.
-        bytes[HEADER_LEN + 1..HEADER_LEN + 5].copy_from_slice(&1u32.to_le_bytes());
-        let crc = crate::crc::crc32(&bytes[HEADER_LEN..]);
-        bytes[10..14].copy_from_slice(&crc.to_le_bytes());
-        assert!(Frame::decode(&bytes).is_err());
+        let mut bytes = Vec::new();
+        reply.encode_frames(&mut bytes);
+        // Claim one sample while carrying none: the count follows the
+        // flags, the tag and the u64 total.
+        bytes[HEADER_LEN + 10..HEADER_LEN + 14].copy_from_slice(&1u32.to_le_bytes());
+        fix_crc(&mut bytes);
+        assert!(decode_reply(&bytes).is_err());
     }
 
     #[test]
     fn max_history_samples_fit_one_frame() {
-        let chunk = HistoryChunk {
+        let reply = Reply::History(HistoryChunk {
             app: "n".repeat(MAX_NAME_LEN),
-            known: true,
             total: u64::MAX,
             samples: vec![
-                HistorySample {
+                crate::health::HistorySample {
                     seq: 0,
                     timestamp_ns: 0,
                     tag: 0,
@@ -2383,10 +2239,13 @@ mod tests {
                 };
                 MAX_HISTORY_SAMPLES
             ],
-        };
-        let bytes = Frame::History(chunk).encode();
-        assert!(bytes.len() - HEADER_LEN <= MAX_PAYLOAD);
-        assert!(Frame::decode(&bytes).is_ok());
+        });
+        let mut bytes = Vec::new();
+        reply.encode_frames(&mut bytes);
+        let (frame, used) = Frame::decode(&bytes).unwrap();
+        assert_eq!(used, bytes.len(), "one frame");
+        assert!(matches!(frame, Frame::Reply { more: false, .. }));
+        assert_eq!(decode_reply(&bytes).unwrap(), reply);
     }
 
     /// Pins the worked hex examples in `docs/WIRE.md` byte for byte, so the
@@ -2417,19 +2276,14 @@ mod tests {
              07 00 00 00 14 00 00 00 03 00 63 61 6d"
         );
         assert_eq!(
-            hex(&Frame::HealthReq { app: "cam".into() }.encode()),
-            "48 42 57 54 03 07 05 00 00 00 b7 bf f6 84 03 00 63 61 6d"
+            hex(&Frame::Query(Query::Get { app: "cam".into() }).encode()),
+            "48 42 57 54 03 05 06 00 00 00 ba 78 db a3 05 03 00 63 61 6d"
         );
+        let mut unknown = Vec::new();
+        Reply::UnknownApp.encode_frames(&mut unknown);
         assert_eq!(
-            hex(
-                &Frame::HistoryReq {
-                    app: "cam".into(),
-                    limit: 2,
-                }
-                .encode()
-            ),
-            "48 42 57 54 03 05 09 00 00 00 82 74 2b 8a \
-             02 00 00 00 03 00 63 61 6d"
+            hex(&unknown),
+            "48 42 57 54 03 06 02 00 00 00 5b aa 05 38 00 09"
         );
     }
 
@@ -2665,7 +2519,7 @@ mod tests {
     #[test]
     fn beats_view_rejects_non_beats_kinds() {
         assert!(BeatsView::parse(KIND_HELLO, &[0]).is_err());
-        assert!(BeatsView::parse(KIND_HEALTH, &[0]).is_err());
+        assert!(BeatsView::parse(KIND_REPLY, &[0]).is_err());
         // The retired fixed-width kind, even with a payload that would
         // parse as a compact empty batch.
         assert!(BeatsView::parse(2, &[0]).is_err());

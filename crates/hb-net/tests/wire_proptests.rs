@@ -381,29 +381,76 @@ fn sample_from(s: u64) -> hb_net::HistorySample {
 }
 
 proptest! {
-    /// Every query/control frame kind round-trips exactly: Bye, HistoryReq,
-    /// History, HealthReq, Health, HelloAck, SubAck and Unsubscribe. Keeps
-    /// the long tail of small frames honest — no kind ships without an
-    /// encode→decode property (hb-lint's wire-kind check enforces this
-    /// coverage).
+    /// Every query/control frame kind round-trips exactly: Bye, one Query
+    /// frame per query-port command, HelloAck, SubAck and Unsubscribe.
+    /// Keeps the long tail of small frames honest — no kind ships without
+    /// an encode→decode property (hb-lint's wire-kind check enforces this
+    /// coverage). Reply fragments are covered by the reply property below.
     #[test]
     fn control_frames_roundtrip(
         name_seed in prop::collection::vec(97u8..123, 1..16),
         limit in any::<u32>(),
-        total in any::<u64>(),
-        known in any::<bool>(),
+        width_ms in any::<u64>(),
         max_version in any::<u8>(),
         sub_id in any::<u32>(),
         status_byte in 0u8..3,
+    ) {
+        use hb_net::wire::SubStatus;
+        use hb_net::Query;
+
+        let app = String::from_utf8(name_seed).unwrap();
+        let queries = vec![
+            Query::Ping,
+            Query::Version,
+            Query::Help,
+            Query::List,
+            Query::Get { app: app.clone() },
+            Query::History { app: app.clone(), limit },
+            Query::Health { app: Some(app.clone()) },
+            Query::Health { app: None },
+            Query::Metrics,
+            Query::Stats,
+            Query::Heatmap { buckets: limit, width_ms },
+            Query::Trace { limit },
+            Query::Quit,
+        ];
+        let mut frames: Vec<Frame> = queries.into_iter().map(Frame::Query).collect();
+        frames.extend([
+            Frame::Bye,
+            Frame::HelloAck { max_version },
+            Frame::SubAck { sub_id, status: SubStatus::from_u8(status_byte).unwrap() },
+            Frame::Unsubscribe { sub_id },
+        ]);
+        for frame in frames {
+            let bytes = frame.encode();
+            let (decoded, used) = Frame::decode(&bytes).unwrap();
+            prop_assert_eq!(used, bytes.len());
+            prop_assert_eq!(decoded, frame);
+        }
+    }
+
+    /// Every Reply variant crosses the wire whole: encoded as Reply frames
+    /// (kind 6), decoded one frame at a time and reassembled. A text reply
+    /// longer than MAX_PAYLOAD splits into several frames, every one but
+    /// the last flagged `more`.
+    #[test]
+    fn replies_roundtrip_through_frames(
+        name_seed in prop::collection::vec(97u8..123, 1..16),
+        counters in prop::collection::vec(any::<u64>(), 20..21),
+        total in any::<u64>(),
         sample_seeds in prop::collection::vec(any::<u64>(), 0..5),
         health_sel in 0u8..4,
         window_beats in any::<u32>(),
         silent_ns in any::<u64>(),
+        flags in any::<u8>(),
+        text_tail in 0usize..4096,
+        text_frames in 0usize..3,
     ) {
-        use hb_net::wire::{HealthFrame, HistoryChunk, SubStatus};
-        use hb_net::{HealthReason, HealthReport, HealthStatus};
+        use hb_net::query::read_reply;
+        use hb_net::{AppSnapshot, CollectorStats, HealthReason, HealthReport, HealthStatus, HistoryChunk, Reply};
 
         let app = String::from_utf8(name_seed).unwrap();
+        let c = |i: usize| counters[i];
         let report = HealthReport {
             status: HealthStatus::from_u8(health_sel).unwrap(),
             reasons: if health_sel == 3 {
@@ -427,26 +474,71 @@ proptest! {
             reordered: window_beats / 13,
             silent_ns,
         };
-        let frames = vec![
-            Frame::Bye,
-            Frame::HistoryReq { app: app.clone(), limit },
-            Frame::History(HistoryChunk {
+        let snapshot = AppSnapshot {
+            app: app.clone(),
+            pid: window_beats,
+            window: window_beats / 3,
+            total_beats: total,
+            local_beats: c(0),
+            rate_bps: (flags & 1 != 0).then(|| f64::from(window_beats) / 7.0),
+            mean_interval_ns: (flags & 2 != 0).then(|| c(1) as f64),
+            target: (flags & 4 != 0).then(|| (1.5, f64::from(window_beats))),
+            producer_dropped: c(2),
+            last_timestamp_ns: (flags & 8 != 0).then(|| c(3)),
+            connections: window_beats / 5,
+            alive: flags & 16 != 0,
+        };
+        let stats = CollectorStats {
+            apps: c(0), connections: c(1), frames: c(2), protocol_errors: c(3),
+            io_threads: c(4), evicted: c(5), queries: c(6), subscriptions: c(7),
+            events: c(8), events_dropped: c(9), uptime_s: c(10) as f64 / 1e3,
+            cross_shard: c(12), origins: c(13), origins_up: c(14),
+            has_upstream: flags & 32 != 0, upstream_connected: c(15),
+            upstream_forwarded: c(16), upstream_dropped: c(17), upstream_events: c(18),
+            upstream_reconnects: c(19), upstream_retransmits: total,
+        };
+        // A METRICS-like export, 0 to 2 whole frame payloads plus a tail.
+        let text_len = text_frames * hb_net::wire::MAX_PAYLOAD + text_tail;
+        let line = "hb_app_beats_total{app=\"cam\"} 12345\n";
+        let text = line.repeat(text_len / line.len() + 1)[..text_len].to_string();
+        let replies = vec![
+            Reply::Pong,
+            Reply::Version(flags),
+            Reply::Apps(vec![app.clone(), format!("{app}-2")]),
+            Reply::Snapshot(snapshot),
+            Reply::History(HistoryChunk {
                 app: app.clone(),
-                known,
                 total,
                 samples: sample_seeds.iter().map(|&s| sample_from(s)).collect(),
             }),
-            Frame::HealthReq { app: app.clone() },
-            Frame::Health(HealthFrame { app: app.clone(), known, report }),
-            Frame::HelloAck { max_version },
-            Frame::SubAck { sub_id, status: SubStatus::from_u8(status_byte).unwrap() },
-            Frame::Unsubscribe { sub_id },
+            Reply::Health { app: app.clone(), report },
+            Reply::Stats(stats),
+            Reply::Text(text.clone()),
+            Reply::UnknownApp,
+            Reply::Bye,
         ];
-        for frame in frames {
-            let bytes = frame.encode();
-            let (decoded, used) = Frame::decode(&bytes).unwrap();
-            prop_assert_eq!(used, bytes.len());
-            prop_assert_eq!(decoded, frame);
+        for reply in replies {
+            let mut bytes = Vec::new();
+            reply.encode_frames(&mut bytes);
+            let mut frames = Vec::new();
+            let mut at = 0;
+            while at < bytes.len() {
+                let (frame, used) = Frame::decode(&bytes[at..]).unwrap();
+                prop_assert!(used - HEADER_LEN <= hb_net::wire::MAX_PAYLOAD);
+                frames.push(frame);
+                at += used;
+            }
+            let fragments = frames.len();
+            for (i, frame) in frames.iter().enumerate() {
+                let more = matches!(frame, Frame::Reply { more: true, .. });
+                prop_assert_eq!(more, i + 1 < fragments);
+            }
+            if matches!(&reply, Reply::Text(_)) && text_len >= hb_net::wire::MAX_PAYLOAD {
+                prop_assert!(fragments >= 2, "a long text reply must span frames");
+            }
+            let mut frames = frames.into_iter();
+            let decoded = read_reply(|| frames.next().ok_or(hb_net::NetError::UnexpectedEof)).unwrap();
+            prop_assert_eq!(decoded, reply);
         }
     }
 }

@@ -943,6 +943,168 @@ impl Observe for RemoteApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameDecoder;
+    use std::net::TcpListener;
+
+    /// Runs `check` against a stand-in collector that answers every query
+    /// frame with the raw `reply` bytes. The reader's first connection is
+    /// served, and so is its retry after a reply it rejects; a final
+    /// connection without a query stops the stand-in.
+    fn with_canned_collector(reply: Vec<u8>, check: impl FnOnce(&RemoteReader)) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let mut stream = stream.unwrap();
+                let mut frames = FrameReader::new(stream.try_clone().unwrap());
+                let mut answered = false;
+                while let Ok(Some(Frame::Query(_))) = frames.read_frame() {
+                    if stream.write_all(&reply).is_err() {
+                        break;
+                    }
+                    answered = true;
+                }
+                if !answered {
+                    break;
+                }
+            }
+        });
+        let reader = RemoteReader::connect(addr.to_string()).unwrap();
+        check(&reader);
+        drop(reader);
+        drop(TcpStream::connect(addr).unwrap());
+        server.join().unwrap();
+    }
+
+    fn reply_frames(reply: &Reply) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        reply.encode_frames(&mut bytes);
+        bytes
+    }
+
+    /// The body of a reply small enough for one frame.
+    fn reply_body(reply: &Reply) -> Vec<u8> {
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&reply_frames(reply));
+        match decoder.next_frame().unwrap() {
+            Some(Frame::Reply { more: false, body }) => body,
+            other => panic!("expected one reply frame, got {other:?}"),
+        }
+    }
+
+    fn body_frame(body: Vec<u8>) -> Vec<u8> {
+        Frame::Reply { more: false, body }.encode()
+    }
+
+    fn sparse_snapshot() -> AppSnapshot {
+        AppSnapshot {
+            app: "fresh".into(),
+            pid: 0,
+            window: 2,
+            total_beats: 0,
+            local_beats: 0,
+            rate_bps: None,
+            mean_interval_ns: None,
+            target: None,
+            producer_dropped: 0,
+            last_timestamp_ns: None,
+            connections: 0,
+            alive: false,
+        }
+    }
+
+    fn sample_stats() -> CollectorStats {
+        CollectorStats {
+            apps: 3,
+            connections: 280,
+            frames: 9000,
+            protocol_errors: 1,
+            io_threads: 2,
+            evicted: 5,
+            queries: 17,
+            subscriptions: 4,
+            events: 60,
+            events_dropped: 6,
+            uptime_s: 12.5,
+            cross_shard: 0,
+            origins: 2,
+            origins_up: 1,
+            has_upstream: true,
+            upstream_connected: 1,
+            upstream_forwarded: 700,
+            upstream_dropped: 8,
+            upstream_events: 9,
+            upstream_reconnects: 10,
+            upstream_retransmits: 11,
+        }
+    }
+
+    #[test]
+    fn snapshot_line_with_missing_data() {
+        // A snapshot with no rate, interval, target or timestamp yet: every
+        // absent field must come back absent, not as zero.
+        let snap = sparse_snapshot();
+        with_canned_collector(reply_frames(&Reply::Snapshot(snap.clone())), |reader| {
+            assert_eq!(reader.snapshot("fresh").unwrap(), Some(snap));
+        });
+    }
+
+    #[test]
+    fn malformed_snapshot_lines_are_rejected() {
+        let body = reply_body(&Reply::Snapshot(sparse_snapshot()));
+        let mut half_target = body.clone();
+        half_target[41..49].copy_from_slice(&1.0f64.to_bits().to_le_bytes());
+        let mut bad_alive = body.clone();
+        bad_alive[78] = 2;
+        let mut trailing = body.clone();
+        trailing.push(0);
+        let truncated = body[..body.len() - 1].to_vec();
+        for reply in [
+            body_frame(half_target),
+            body_frame(bad_alive),
+            body_frame(trailing),
+            body_frame(truncated),
+            body_frame(vec![]),
+            reply_frames(&Reply::Stats(sample_stats())),
+            Frame::Bye.encode(),
+        ] {
+            with_canned_collector(reply.clone(), |reader| {
+                assert!(reader.snapshot("fresh").is_err(), "reply: {reply:?}");
+            });
+        }
+    }
+
+    #[test]
+    fn stats_line_roundtrip() {
+        let stats = sample_stats();
+        with_canned_collector(reply_frames(&Reply::Stats(stats.clone())), |reader| {
+            let remote = reader.stats().unwrap();
+            assert_eq!(remote, stats);
+            assert_eq!(remote.uptime_s.to_bits(), 12.5f64.to_bits());
+        });
+    }
+
+    #[test]
+    fn malformed_stats_lines_are_rejected() {
+        let body = reply_body(&Reply::Stats(sample_stats()));
+        let mut bad_upstream_flag = body.clone();
+        bad_upstream_flag[161] = 2;
+        let mut trailing = body.clone();
+        trailing.push(0);
+        let truncated = body[..body.len() - 1].to_vec();
+        for reply in [
+            body_frame(bad_upstream_flag),
+            body_frame(trailing),
+            body_frame(truncated),
+            body_frame(vec![7]),
+            reply_frames(&Reply::Snapshot(sparse_snapshot())),
+            reply_frames(&Reply::UnknownApp),
+        ] {
+            with_canned_collector(reply.clone(), |reader| {
+                assert!(reader.stats().is_err(), "reply: {reply:?}");
+            });
+        }
+    }
 
     #[test]
     fn wire_invalid_names_answer_none_locally() {
